@@ -7,11 +7,12 @@ from .annealing import AnnealConfig, decay, sa_solve
 from .bench import BenchRecord, render_csv, run_bench, summarize
 from .generators import generate_instance, gnp, grid, random_tree, star_forest, to_ds
 from .graph import Graph, ParseError, Solution, parse_ds, parse_solution, write_solution
-from .greedy import eager_greedy, greedy_ln, lazy_greedy, true_gain
+from .greedy import greedy_ln, lazy_greedy, true_gain
 from .pipeline import ALGORITHMS, SolverConfig, StageTrace, solve
-from .pruning import backward_prune, compute_cover_counts
-from .reductions import CoverState, add_to_d, apply_isolate_rule, apply_leaf_rule
-from .swaps import SwapBudget, SwapMove, safety_patch, swap_phase, try_one_swap, uniquely_covered
+from .pruning import backward_prune
+from .reductions import add_to_d, apply_isolate_rule, apply_leaf_rule
+from .state import Budget, Cover, compute_cover_counts
+from .swaps import safety_patch, swap_phase, try_one_swap
 from .verification import ORACLE_MAX_N, VerifyReport, brute_force_optimum, verify
 
 __version__ = "0.1.0"
@@ -20,15 +21,14 @@ __all__ = [
     "ALGORITHMS",
     "AnnealConfig",
     "BenchRecord",
-    "CoverState",
+    "Budget",
+    "Cover",
     "Graph",
     "ORACLE_MAX_N",
     "ParseError",
     "Solution",
     "SolverConfig",
     "StageTrace",
-    "SwapBudget",
-    "SwapMove",
     "VerifyReport",
     "add_to_d",
     "apply_isolate_rule",
@@ -37,7 +37,6 @@ __all__ = [
     "brute_force_optimum",
     "compute_cover_counts",
     "decay",
-    "eager_greedy",
     "generate_instance",
     "gnp",
     "greedy_ln",
@@ -57,7 +56,6 @@ __all__ = [
     "to_ds",
     "true_gain",
     "try_one_swap",
-    "uniquely_covered",
     "verify",
     "write_solution",
 ]

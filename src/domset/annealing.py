@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-import threading
-import time
 from dataclasses import dataclass
 
 from .graph import Graph, Solution
-from .pruning import compute_cover_counts
+from .state import Budget, compute_cover_counts
 from .verification import verify
 
 __all__ = ["AnnealConfig", "decay", "sa_solve", "TEMPERATURE_FLOOR"]
@@ -29,19 +27,17 @@ _P_EXCHANGE = 0.8
 
 @dataclass
 class AnnealConfig:
-    """Schedule and budget for one annealing run.
+    """Schedule and epoch cap for one annealing run.
 
-    ``moves_per_epoch=None`` resolves to max(100, n) at solve time. At least
-    one of ``time_budget_ms`` / ``max_epochs`` must bound the run;
-    ``time_budget_ms=0`` is allowed and means "no moves at all".
+    ``moves_per_epoch=None`` resolves to max(100, n) at solve time. The run
+    ends after ``max_epochs`` epochs or when the caller's budget expires,
+    whichever comes first.
     """
 
     initial_temperature: float = 1.0
     cooling_factor: float = 0.995
     moves_per_epoch: int | None = None
-    seed: int = 0
-    time_budget_ms: float | None = None
-    max_epochs: int | None = None
+    max_epochs: int = 200
 
     def __post_init__(self) -> None:
         if self.initial_temperature <= 0:
@@ -50,12 +46,8 @@ class AnnealConfig:
             raise ValueError("cooling_factor must lie in (0, 1)")
         if self.moves_per_epoch is not None and self.moves_per_epoch < 1:
             raise ValueError("moves_per_epoch must be positive")
-        if self.time_budget_ms is not None and self.time_budget_ms < 0:
-            raise ValueError("time_budget_ms must be non-negative")
-        if self.max_epochs is not None and self.max_epochs < 0:
+        if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
-        if self.time_budget_ms is None and self.max_epochs is None:
-            raise ValueError("set time_budget_ms or max_epochs so the run terminates")
 
 
 def decay(temperature: float, cfg: AnnealConfig) -> float:
@@ -67,14 +59,18 @@ def sa_solve(
     g: Graph,
     seed_solution: Solution,
     cfg: AnnealConfig,
-    stop: threading.Event | None = None,
+    seed: int = 0,
+    budget: Budget | None = None,
     validate_each_move: bool = False,
 ) -> Solution:
-    """Anneal from a feasible seed; returns the smallest dominating set seen.
+    """Anneal from a feasible seed solution; returns the smallest dominating
+    set seen.
 
-    Raises ValueError if the seed does not dominate. ``validate_each_move``
-    re-verifies feasibility after every accepted move (tests only; the
-    normal path relies on the incremental cover counts).
+    ``seed`` seeds the move rng. ``budget`` is polled before every epoch and
+    every 256 moves. Raises ValueError if the seed solution does not
+    dominate. ``validate_each_move`` re-verifies feasibility after every
+    accepted move (tests only; the normal path relies on the incremental
+    cover counts).
     """
     report = verify(g, seed_solution)
     if not report.valid:
@@ -83,104 +79,75 @@ def sa_solve(
     if n == 0:
         return seed_solution.copy()
 
-    counts = compute_cover_counts(g, seed_solution)
-    cur = list(seed_solution.members)
+    cover = compute_cover_counts(g, seed_solution.copy())
+    # Member order is a pick array: removal swaps the last member into the
+    # freed slot, so it stays O(1), and its order drives the random picks.
+    cur = cover.members
     pos = {v: i for i, v in enumerate(cur)}
-    in_set = list(seed_solution.in_set)
+    in_set = cover.in_set
     best = list(cur)
     off = g.off
     nbr = g.nbr
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     moves_per_epoch = cfg.moves_per_epoch if cfg.moves_per_epoch is not None else max(100, n)
     temperature = cfg.initial_temperature
 
-    deadline = None
-    if cfg.time_budget_ms is not None:
-        deadline = time.perf_counter() + cfg.time_budget_ms / 1000.0
-
     def feasible() -> bool:
-        return all(c >= 1 for c in counts)
-
-    def drop(d: int) -> None:
-        counts[d] -= 1
-        for x in nbr[off[d] : off[d + 1]]:
-            counts[x] -= 1
-        in_set[d] = False
-        i = pos.pop(d)
-        last = cur.pop()
-        if last != d:
-            cur[i] = last
-            pos[last] = i
-
-    def put(t: int) -> None:
-        counts[t] += 1
-        for x in nbr[off[t] : off[t + 1]]:
-            counts[x] += 1
-        in_set[t] = True
-        pos[t] = len(cur)
-        cur.append(t)
+        return all(c >= 1 for c in cover.counts)
 
     epoch = 0
-    out_of_time = deadline is not None and time.perf_counter() >= deadline
-    while not out_of_time:
-        if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
-            break
-        if stop is not None and stop.is_set():
-            break
+    while epoch < cfg.max_epochs and not (budget is not None and budget.expired()):
         for step in range(moves_per_epoch):
-            if deadline is not None and (step & 255) == 0 and time.perf_counter() >= deadline:
-                out_of_time = True
+            if budget is not None and (step & 255) == 0 and budget.expired():
                 break
+            out = put = -1
             r = rng.random()
             if r < _P_REMOVAL:
                 if not cur:
                     continue
-                d = cur[rng.randrange(len(cur))]
-                removable = counts[d] >= 2
-                if removable:
-                    for x in nbr[off[d] : off[d + 1]]:
-                        if counts[x] < 2:
-                            removable = False
-                            break
-                if not removable:
+                out = cur[rng.randrange(len(cur))]
+                if not cover.is_redundant(out):
                     continue
-                drop(d)
             elif r < _P_EXCHANGE:
                 if not cur:
                     continue
-                d = cur[rng.randrange(len(cur))]
-                cands = [t for t in nbr[off[d] : off[d + 1]] if not in_set[t]]
+                out = cur[rng.randrange(len(cur))]
+                cands = [t for t in nbr[off[out] : off[out + 1]] if not in_set[t]]
                 if not cands:
                     continue
-                t = cands[rng.randrange(len(cands))]
-                unique = [d] if counts[d] == 1 else []
-                for x in nbr[off[d] : off[d + 1]]:
-                    if counts[x] == 1:
-                        unique.append(x)
+                put = cands[rng.randrange(len(cands))]
+                unique = cover.unique_of(out)
                 if unique:
                     uset = set(unique)
-                    hits = 1 if t in uset else 0
-                    for y in nbr[off[t] : off[t + 1]]:
+                    hits = 1 if put in uset else 0
+                    for y in nbr[off[put] : off[put + 1]]:
                         if y in uset:
                             hits += 1
                     if hits != len(uset):
                         continue
-                drop(d)
-                put(t)
             else:
                 if len(cur) == n:
                     continue
-                t = -1
                 for _ in range(8):
                     c = rng.randrange(n)
                     if not in_set[c]:
-                        t = c
+                        put = c
                         break
-                if t < 0:
+                if put < 0:
                     continue
                 if rng.random() >= math.exp(-1.0 / temperature):
                     continue
-                put(t)
+            if out >= 0:
+                cover.drop(out)
+                i = pos.pop(out)
+                last = cur.pop()
+                if last != out:
+                    cur[i] = last
+                    pos[last] = i
+            if put >= 0:
+                cover.add(put)
+                pos[put] = len(cur)
+                cur.append(put)
             if validate_each_move:
                 assert feasible(), "annealing move broke domination"
             if len(cur) < len(best):

@@ -40,7 +40,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sa-t0", type=float, default=1.0, metavar="T", help="annealing initial temperature")
     p.add_argument("--sa-cool", type=float, default=0.995, metavar="F", help="annealing cooling factor per epoch")
     p.add_argument("--sa-moves", type=int, default=None, metavar="N", help="annealing moves per epoch (default max(100, n))")
-    p.add_argument("--sa-epochs", type=int, default=None, metavar="N", help="annealing epoch cap (default 200 when --no-wallclock)")
+    p.add_argument("--sa-epochs", type=int, default=200, metavar="N", help="annealing epoch cap")
     p.add_argument("--no-wallclock", action="store_true", help="replace time budgets with attempt counts for reproducible runs")
 
 
@@ -49,8 +49,7 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         initial_temperature=args.sa_t0,
         cooling_factor=args.sa_cool,
         moves_per_epoch=args.sa_moves,
-        seed=args.seed,
-        max_epochs=args.sa_epochs if args.sa_epochs is not None else 200,
+        max_epochs=args.sa_epochs,
     )
     return SolverConfig(
         algorithm=args.algo,

@@ -6,27 +6,28 @@ cross-check the lazy one.
 from __future__ import annotations
 
 import heapq
-import threading
 
 from .graph import Graph, Solution
-from .reductions import CoverState, add_to_d
+from .reductions import add_to_d
+from .state import Budget, Cover, compute_cover_counts
 
 __all__ = ["true_gain", "lazy_greedy", "greedy_ln", "eager_greedy"]
 
 
-def true_gain(state: CoverState, g: Graph, v: int) -> int:
+def true_gain(cover: Cover, v: int) -> int:
     """Number of currently undominated vertices in the closed neighborhood of ``v``."""
-    dominated = state.dominated
-    gain = 0 if dominated[v] else 1
-    off = g.off
-    for x in g.nbr[off[v] : off[v + 1]]:
-        if not dominated[x]:
+    counts = cover.counts
+    gain = 0 if counts[v] else 1
+    off = cover.g.off
+    for x in cover.g.nbr[off[v] : off[v + 1]]:
+        if not counts[x]:
             gain += 1
     return gain
 
 
-def lazy_greedy(state: CoverState, g: Graph, stop: threading.Event | None = None) -> None:
-    """Extend the solution until every vertex is dominated.
+def lazy_greedy(cover: Cover, budget: Budget | None = None) -> None:
+    """Extend the solution until every vertex is dominated, or until
+    ``budget`` expires (polled before every heap pop).
 
     The queue is keyed by (gain, vertex) with degree+1 as the initial upper
     bound; a popped entry whose recomputed gain fell below its key is pushed
@@ -34,56 +35,56 @@ def lazy_greedy(state: CoverState, g: Graph, stop: threading.Event | None = None
     maximum true gain, ties broken toward the smaller vertex ID. Entries for
     vertices already chosen or with zero gain are dropped outright.
     """
-    if state.undominated_count == 0:
+    if cover.uncovered == 0:
         return
-    degree = g.degree
-    heap = [(-(degree[v] + 1), v) for v in range(g.n)]
+    degree = cover.g.degree
+    heap = [(-(degree[v] + 1), v) for v in range(cover.g.n)]
     heapq.heapify(heap)
     pop = heapq.heappop
     push = heapq.heappush
-    in_d = state.in_d
-    dominated = state.dominated
+    in_set = cover.in_set
+    counts = cover.counts
     cursor = 0
-    while state.undominated_count > 0:
-        if stop is not None and stop.is_set():
+    while cover.uncovered > 0:
+        if budget is not None and budget.expired():
             return
         if not heap:
             # Unreachable with the drop rule above (an undominated vertex
             # always retains a positive-gain entry), kept as a safety net.
-            while dominated[cursor]:
+            while counts[cursor]:
                 cursor += 1
-            add_to_d(state, g, cursor)
+            add_to_d(cover, cursor)
             continue
         negkey, v = pop(heap)
-        if in_d[v]:
+        if in_set[v]:
             continue
-        gain = true_gain(state, g, v)
+        gain = true_gain(cover, v)
         if gain == 0:
             continue
         if gain < -negkey:
             push(heap, (-gain, v))
             continue
-        add_to_d(state, g, v)
+        add_to_d(cover, v)
 
 
-def greedy_ln(g: Graph, stop: threading.Event | None = None) -> Solution:
+def greedy_ln(g: Graph, budget: Budget | None = None) -> Solution:
     """Plain greedy baseline: repeatedly take the vertex that newly dominates
     the most vertices. No reductions, no pruning."""
-    state = CoverState(g)
-    lazy_greedy(state, g, stop)
-    return state.solution
+    cover = compute_cover_counts(g)
+    lazy_greedy(cover, budget)
+    return cover.solution
 
 
 def eager_greedy(g: Graph) -> Solution:
     """Full-rescore greedy, the slow reference the lazy variant must match."""
-    state = CoverState(g)
-    while state.undominated_count > 0:
+    cover = compute_cover_counts(g)
+    while cover.uncovered > 0:
         best_v = -1
         best_gain = 0
         for v in range(g.n):
-            gain = true_gain(state, g, v)
+            gain = true_gain(cover, v)
             if gain > best_gain:
                 best_gain = gain
                 best_v = v
-        add_to_d(state, g, best_v)
-    return state.solution
+        add_to_d(cover, best_v)
+    return cover.solution

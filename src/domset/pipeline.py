@@ -1,9 +1,12 @@
 """End-to-end solver orchestration and algorithm selection.
 
 The hedom5 pipeline runs reductions, lazy greedy, backward pruning, the
-budgeted swap phase, and a final safety patch, in that order. Parsing and
-the near-linear stages are not time-limited; the swap phase receives
-whatever remains of the global budget minus a 5% reserve for output.
+1-swap phase, and a final safety patch, in that order, on one shared
+:class:`~domset.state.Cover`. :func:`solve` builds one
+:class:`~domset.state.Budget` per run: in wall-clock mode its deadline is
+the global time budget minus a 5% reserve for output, and the stop event
+ends it early. Greedy, swap and annealing poll it; once it has expired,
+the best set so far is patched to validity and returned.
 """
 
 from __future__ import annotations
@@ -11,14 +14,15 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .annealing import AnnealConfig, sa_solve
 from .graph import Graph, Solution
 from .greedy import greedy_ln, lazy_greedy
-from .pruning import backward_prune, compute_cover_counts
-from .reductions import CoverState, apply_isolate_rule, apply_leaf_rule
-from .swaps import SwapBudget, safety_patch, swap_phase
+from .pruning import backward_prune
+from .reductions import apply_isolate_rule, apply_leaf_rule
+from .state import Budget, compute_cover_counts
+from .swaps import safety_patch, swap_phase
 from .verification import verify
 
 __all__ = ["ALGORITHMS", "SolverConfig", "StageTrace", "solve"]
@@ -41,16 +45,16 @@ class StageTrace:
 class SolverConfig:
     """Algorithm choice plus every budget and schedule knob.
 
-    ``wallclock=False`` replaces all time limits with attempt counts
-    (swap sweeps, annealing epochs) so runs are bit-reproducible. The
-    solver seed overrides ``anneal.seed``.
+    ``wallclock=False`` drops the deadline, so only attempt counts (swap
+    sweeps, annealing epochs) bound the run and runs are bit-reproducible.
+    ``seed`` seeds both the swap sweep order and the annealing moves.
     """
 
     algorithm: str = "hedom5"
     time_budget_ms: float = 10_000.0
     attempt_cap: int = 20
     seed: int = 0
-    anneal: AnnealConfig = field(default_factory=lambda: AnnealConfig(max_epochs=200))
+    anneal: AnnealConfig = field(default_factory=AnnealConfig)
     wallclock: bool = True
 
     def __post_init__(self) -> None:
@@ -67,44 +71,28 @@ def _record(trace: list[StageTrace] | None, stage: str, size: int, start: float)
         trace.append(StageTrace(stage, size, (time.perf_counter() - start) * 1000.0))
 
 
-def _remaining_ms(cfg: SolverConfig, start: float) -> float:
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return cfg.time_budget_ms * (1.0 - _OUTPUT_RESERVE) - elapsed
-
-
 def _run_hedom5(
     g: Graph,
     cfg: SolverConfig,
     trace: list[StageTrace] | None,
-    stop: threading.Event | None,
+    budget: Budget,
     start: float,
     use_reductions: bool = True,
 ) -> Solution:
-    state = CoverState(g)
+    cover = compute_cover_counts(g)
+    sol = cover.solution
     if use_reductions:
-        apply_isolate_rule(state, g)
-        apply_leaf_rule(state, g)
-    _record(trace, "reductions", len(state.solution), start)
+        apply_isolate_rule(cover)
+        apply_leaf_rule(cover)
+    _record(trace, "reductions", len(sol), start)
 
-    lazy_greedy(state, g, stop)
-    sol = state.solution
+    lazy_greedy(cover, budget)
     _record(trace, "greedy", len(sol), start)
-    if stop is not None and stop.is_set():
-        return sol
-
-    counts = compute_cover_counts(g, sol)
-    backward_prune(g, sol, counts)
-    _record(trace, "prune", len(sol), start)
-
-    if cfg.wallclock:
-        remaining = _remaining_ms(cfg, start)
-        if remaining > 0:
-            budget = SwapBudget(cfg.attempt_cap, remaining)
-            swap_phase(g, sol, counts, budget, rng=random.Random(cfg.seed), stop=stop)
-    else:
-        budget = SwapBudget(cfg.attempt_cap, None)
-        swap_phase(g, sol, counts, budget, rng=random.Random(cfg.seed), stop=stop)
-    _record(trace, "swap", len(sol), start)
+    if not budget.expired():
+        backward_prune(cover)
+        _record(trace, "prune", len(sol), start)
+        swap_phase(cover, cfg.attempt_cap, budget, rng=random.Random(cfg.seed))
+        _record(trace, "swap", len(sol), start)
 
     safety_patch(g, sol)
     _record(trace, "patch", len(sol), start)
@@ -124,30 +112,16 @@ def solve(
     patched to validity and returned early.
     """
     start = time.perf_counter()
-    if cfg.algorithm == "greedy":
-        sol = greedy_ln(g, stop)
-    elif cfg.algorithm == "sa":
-        sol = _run_sa(g, cfg, stop, start)
+    budget = Budget(cfg.time_budget_ms * (1.0 - _OUTPUT_RESERVE) if cfg.wallclock else None, stop)
+    if cfg.algorithm == "hedom5":
+        sol = _run_hedom5(g, cfg, trace, budget, start)
     else:
-        sol = _run_hedom5(g, cfg, trace, stop, start)
-
-    if stop is not None and stop.is_set():
-        safety_patch(g, sol)
+        sol = greedy_ln(g, budget)
+        if budget.expired():
+            safety_patch(g, sol)
+        elif cfg.algorithm == "sa":
+            sol = sa_solve(g, sol, cfg.anneal, cfg.seed, budget)
     report = verify(g, sol)
     if not report.valid:
         raise RuntimeError(f"internal error: solver left vertex {report.first_uncovered} uncovered")
     return sol
-
-
-def _run_sa(g: Graph, cfg: SolverConfig, stop: threading.Event | None, start: float) -> Solution:
-    seed_sol = greedy_ln(g, stop)
-    if stop is not None and stop.is_set():
-        return seed_sol
-    if cfg.wallclock:
-        remaining = max(0.0, _remaining_ms(cfg, start))
-        anneal_cfg = replace(cfg.anneal, seed=cfg.seed, time_budget_ms=remaining, max_epochs=None)
-    else:
-        anneal_cfg = replace(cfg.anneal, seed=cfg.seed, time_budget_ms=None)
-        if anneal_cfg.max_epochs is None:
-            anneal_cfg = replace(anneal_cfg, max_epochs=200)
-    return sa_solve(g, seed_sol, anneal_cfg, stop=stop)

@@ -1,40 +1,28 @@
-"""Redundancy removal: cover counting and the reverse-insertion prune pass."""
+"""Redundancy removal: the reverse-insertion prune pass."""
 
 from __future__ import annotations
 
-from .graph import Graph, Solution
+from .state import Cover
 
-__all__ = ["CoverCounts", "compute_cover_counts", "backward_prune"]
-
-# cover_count[x] = number of chosen dominators whose closed neighborhood
-# contains x; domination holds iff every entry is >= 1.
-CoverCounts = list[int]
+__all__ = ["backward_prune"]
 
 
-def compute_cover_counts(g: Graph, sol: Solution) -> CoverCounts:
-    counts = [0] * g.n
-    off = g.off
-    nbr = g.nbr
-    for d in sol.members:
-        counts[d] += 1
-        for x in nbr[off[d] : off[d + 1]]:
-            counts[x] += 1
-    return counts
-
-
-def backward_prune(g: Graph, sol: Solution, counts: CoverCounts) -> Solution:
+def backward_prune(cover: Cover) -> None:
     """Single newest-first pass removing every member whose closed
     neighborhood is still covered at least twice.
 
     Counts are maintained live, so members that only become redundant
     through removals later in the scan are still caught. Survivors keep
-    their relative insertion order; the pass mutates ``sol`` and ``counts``
-    in place and returns ``sol``.
+    their relative insertion order. Only redundant members leave, so
+    ``cover.uncovered`` is unchanged. The scan reads the cover's lists as
+    locals instead of calling :meth:`Cover.is_redundant` per member: a call
+    per member is measurably slower on this hot path.
     """
-    members = sol.members
-    in_set = sol.in_set
-    off = g.off
-    nbr = g.nbr
+    members = cover.members
+    in_set = cover.in_set
+    counts = cover.counts
+    off = cover.g.off
+    nbr = cover.g.nbr
     removed = False
     for i in range(len(members) - 1, -1, -1):
         v = members[i]
@@ -54,4 +42,3 @@ def backward_prune(g: Graph, sol: Solution, counts: CoverCounts) -> Solution:
             removed = True
     if removed:
         members[:] = [v for v in members if v >= 0]
-    return sol

@@ -1,77 +1,53 @@
-"""Stage 0 reduction rules and the shared domination bookkeeping.
+"""Stage 0 reduction rules and the insertion-ordered add used while a
+dominating set is being built.
 
-Every stage mutates the solution exclusively through :func:`add_to_d`,
-which keeps the dominated flags and the undominated counter in sync.
+Reductions and greedy grow the set only through :func:`add_to_d`, which
+appends to the solution's member order and counts the new closed
+neighborhood in the shared :class:`~domset.state.Cover`.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, Solution
+from .state import Cover
 
-__all__ = ["CoverState", "add_to_d", "apply_isolate_rule", "apply_leaf_rule"]
-
-
-class CoverState:
-    """Mutable per-run domination state.
-
-    ``in_d`` aliases ``solution.in_set`` so membership checks and the
-    insertion-ordered member list can never drift apart.
-    """
-
-    __slots__ = ("dominated", "undominated_count", "solution", "in_d")
-
-    def __init__(self, g: Graph) -> None:
-        self.dominated: list[bool] = [False] * g.n
-        self.undominated_count: int = g.n
-        self.solution = Solution(g.n)
-        self.in_d: list[bool] = self.solution.in_set
+__all__ = ["add_to_d", "apply_isolate_rule", "apply_leaf_rule"]
 
 
-def add_to_d(state: CoverState, g: Graph, v: int) -> None:
-    """Add ``v`` to the solution and mark its closed neighborhood dominated.
+def add_to_d(cover: Cover, v: int) -> None:
+    """Add ``v`` to the solution and count its closed neighborhood as dominated.
 
     Idempotent: a vertex already in the set is left alone.
     """
-    if state.in_d[v]:
+    if cover.in_set[v]:
         return
-    state.in_d[v] = True
-    state.solution.members.append(v)
-    dominated = state.dominated
-    newly = 0
-    if not dominated[v]:
-        dominated[v] = True
-        newly = 1
-    off = g.off
-    for x in g.nbr[off[v] : off[v + 1]]:
-        if not dominated[x]:
-            dominated[x] = True
-            newly += 1
-    state.undominated_count -= newly
+    cover.add(v)
+    cover.members.append(v)
 
 
-def apply_isolate_rule(state: CoverState, g: Graph) -> int:
+def apply_isolate_rule(cover: Cover) -> int:
     """Force every degree-0 vertex into the solution; returns how many were added."""
-    before = len(state.solution.members)
-    degree = g.degree
-    for v in range(g.n):
+    before = len(cover.members)
+    degree = cover.g.degree
+    for v in range(cover.g.n):
         if degree[v] == 0:
-            add_to_d(state, g, v)
-    return len(state.solution.members) - before
+            add_to_d(cover, v)
+    return len(cover.members) - before
 
 
-def apply_leaf_rule(state: CoverState, g: Graph) -> int:
+def apply_leaf_rule(cover: Cover) -> int:
     """Force the unique neighbor of every still-undominated leaf.
 
     Leaves are visited in ascending vertex ID; a leaf that an earlier
     forced vertex already dominated is skipped. Returns how many vertices
     were added.
     """
-    before = len(state.solution.members)
+    before = len(cover.members)
+    g = cover.g
     degree = g.degree
-    dominated = state.dominated
+    counts = cover.counts
     off = g.off
     nbr = g.nbr
     for u in range(g.n):
-        if degree[u] == 1 and not dominated[u]:
-            add_to_d(state, g, nbr[off[u]])
-    return len(state.solution.members) - before
+        if degree[u] == 1 and not counts[u]:
+            add_to_d(cover, nbr[off[u]])
+    return len(cover.members) - before

@@ -1,0 +1,129 @@
+"""Per-run solver state shared by the stages: the :class:`Cover` record of
+how often each vertex is dominated, and the :class:`Budget` that says when a
+run must stop."""
+
+from __future__ import annotations
+
+import threading
+import time
+
+from .graph import Graph, Solution
+
+__all__ = ["Budget", "Cover", "compute_cover_counts"]
+
+
+class Cover:
+    """Domination counts of a vertex set, kept in step with its membership.
+
+    ``counts[x]`` is the number of members whose closed neighborhood
+    contains ``x``, so ``x`` is dominated iff ``counts[x] > 0``;
+    ``uncovered`` is the number of zero entries. ``in_set`` is the
+    membership flag list of ``solution``. :meth:`add` and :meth:`drop`
+    update flags and counts but leave member order to its owner, who
+    appends to or removes from ``members`` itself: hedom5 keeps insertion
+    order there, annealing a swap-with-last pick array.
+    """
+
+    __slots__ = ("g", "solution", "in_set", "counts", "uncovered")
+
+    def __init__(self, g: Graph, solution: Solution, counts: list[int]) -> None:
+        self.g = g
+        self.solution = solution
+        self.in_set = solution.in_set
+        self.counts = counts
+        self.uncovered = counts.count(0)
+
+    @property
+    def members(self) -> list[int]:
+        """The counted set's members, in their owner's order."""
+        return self.solution.members
+
+    def add(self, v: int) -> None:
+        """Flag ``v`` as a member and count its closed neighborhood once more."""
+        self.in_set[v] = True
+        g = self.g
+        counts = self.counts
+        newly = 0 if counts[v] else 1
+        counts[v] += 1
+        for x in g.nbr[g.off[v] : g.off[v + 1]]:
+            c = counts[x]
+            counts[x] = c + 1
+            if not c:
+                newly += 1
+        self.uncovered -= newly
+
+    def drop(self, v: int) -> None:
+        """Clear ``v``'s member flag and count its closed neighborhood once less."""
+        self.in_set[v] = False
+        g = self.g
+        counts = self.counts
+        counts[v] -= 1
+        lost = 0 if counts[v] else 1
+        for x in g.nbr[g.off[v] : g.off[v + 1]]:
+            c = counts[x] - 1
+            counts[x] = c
+            if not c:
+                lost += 1
+        self.uncovered += lost
+
+    def is_redundant(self, v: int) -> bool:
+        """True when every vertex of N[v] is dominated at least twice, so
+        dropping member ``v`` keeps the set dominating."""
+        counts = self.counts
+        if counts[v] < 2:
+            return False
+        g = self.g
+        for x in g.nbr[g.off[v] : g.off[v + 1]]:
+            if counts[x] < 2:
+                return False
+        return True
+
+    def unique_of(self, v: int) -> list[int]:
+        """Vertices in N[v] that member ``v`` is the only dominator of."""
+        counts = self.counts
+        g = self.g
+        out = [v] if counts[v] == 1 else []
+        for x in g.nbr[g.off[v] : g.off[v + 1]]:
+            if counts[x] == 1:
+                out.append(x)
+        return out
+
+
+def compute_cover_counts(g: Graph, sol: Solution | None = None) -> Cover:
+    """Count from scratch how often ``sol`` (a fresh empty set by default)
+    dominates each vertex. The returned Cover shares ``sol``'s flags and
+    member list."""
+    if sol is None:
+        sol = Solution(g.n)
+    counts = [0] * g.n
+    off = g.off
+    nbr = g.nbr
+    for d in sol.members:
+        counts[d] += 1
+        for x in nbr[off[d] : off[d + 1]]:
+            counts[x] += 1
+    return Cover(g, sol, counts)
+
+
+class Budget:
+    """When a run must stop: once the stop event is set, or at a wall-clock
+    deadline ``ms`` milliseconds after construction.
+
+    ``ms=None`` sets no deadline (attempt-counted mode), leaving the stages'
+    own sweep and epoch caps to end the run; ``ms=0`` is a budget that has
+    already run out.
+    """
+
+    __slots__ = ("deadline", "stop")
+
+    def __init__(self, ms: float | None = None, stop: threading.Event | None = None) -> None:
+        if ms is not None and ms < 0:
+            raise ValueError(f"budget must be non-negative, got {ms} ms")
+        self.deadline = None if ms is None else time.perf_counter() + ms / 1000.0
+        self.stop = stop
+
+    def expired(self) -> bool:
+        """True once the stop event is set or the deadline has passed."""
+        if self.stop is not None and self.stop.is_set():
+            return True
+        return self.deadline is not None and time.perf_counter() >= self.deadline

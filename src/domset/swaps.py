@@ -1,38 +1,20 @@
-"""Budgeted 1-swap local improvement and the final greedy repair."""
+"""1-swap local improvement under the run budget, and the final repair."""
 
 from __future__ import annotations
 
 import random
-import threading
-import time
 from dataclasses import dataclass
 
 from .graph import Graph, Solution
-from .pruning import CoverCounts, backward_prune, compute_cover_counts
+from .greedy import lazy_greedy
+from .pruning import backward_prune
+from .state import Budget, Cover, compute_cover_counts
 
-__all__ = ["SwapBudget", "SwapMove", "uniquely_covered", "try_one_swap", "swap_phase", "safety_patch"]
+__all__ = ["SwapMove", "try_one_swap", "swap_phase", "safety_patch"]
 
-# Wall clock is polled once per this many candidate checks to keep timer
-# overhead negligible relative to the work it bounds.
-_TIME_CHECK_BATCH = 64
-
-
-@dataclass(frozen=True)
-class SwapBudget:
-    """Stops the swap phase at whichever of the two limits is hit first.
-
-    ``time_budget_ms=None`` disables the wall clock entirely (attempt-counted
-    mode, used for reproducible runs).
-    """
-
-    attempt_cap: int
-    time_budget_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.attempt_cap < 1:
-            raise ValueError(f"attempt_cap must be strictly positive, got {self.attempt_cap}")
-        if self.time_budget_ms is not None and self.time_budget_ms <= 0:
-            raise ValueError(f"time_budget_ms must be strictly positive, got {self.time_budget_ms}")
+# The budget is polled once per this many candidate checks to keep clock
+# and stop-event reads negligible relative to the work they bound.
+_POLL_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -43,25 +25,7 @@ class SwapMove:
     added: int | None
 
 
-def uniquely_covered(g: Graph, counts: CoverCounts, w: int) -> list[int]:
-    """Vertices in N[w] that ``w`` is the only dominator of."""
-    off = g.off
-    out = [w] if counts[w] == 1 else []
-    for x in g.nbr[off[w] : off[w + 1]]:
-        if counts[x] == 1:
-            out.append(x)
-    return out
-
-
-def _drop_member(g: Graph, sol: Solution, counts: CoverCounts, w: int) -> None:
-    off = g.off
-    counts[w] -= 1
-    for x in g.nbr[off[w] : off[w + 1]]:
-        counts[x] -= 1
-    sol.remove(w)
-
-
-def try_one_swap(g: Graph, sol: Solution, counts: CoverCounts, w: int) -> SwapMove | None:
+def try_one_swap(cover: Cover, w: int) -> SwapMove | None:
     """Attempt to shrink or exchange member ``w``.
 
     If nothing is uniquely covered by ``w`` it is simply removed. Otherwise
@@ -72,51 +36,49 @@ def try_one_swap(g: Graph, sol: Solution, counts: CoverCounts, w: int) -> SwapMo
     uniqueness it erases is a future pruning opportunity. Returns the
     applied move, or None with the state untouched.
     """
-    unique = uniquely_covered(g, counts, w)
-    if not unique:
-        _drop_member(g, sol, counts, w)
-        return SwapMove(w, None)
-    off = g.off
-    nbr = g.nbr
-    in_set = sol.in_set
-    uset = set(unique)
-    need = len(uset)
+    unique = cover.unique_of(w)
     best_t = -1
-    best_absorbed = -1
-    for t in nbr[off[w] : off[w + 1]]:
-        if in_set[t]:
-            continue
-        hits = 1 if t in uset else 0
-        absorbed = 1 if counts[t] == 1 else 0
-        for y in nbr[off[t] : off[t + 1]]:
-            if counts[y] == 1:
-                absorbed += 1
-                if y in uset:
-                    hits += 1
-        if hits == need and absorbed > best_absorbed:
-            best_t = t
-            best_absorbed = absorbed
+    if unique:
+        off = cover.g.off
+        nbr = cover.g.nbr
+        in_set = cover.in_set
+        counts = cover.counts
+        uset = set(unique)
+        need = len(uset)
+        best_absorbed = -1
+        for t in nbr[off[w] : off[w + 1]]:
+            if in_set[t]:
+                continue
+            hits = 1 if t in uset else 0
+            absorbed = 1 if counts[t] == 1 else 0
+            for y in nbr[off[t] : off[t + 1]]:
+                if counts[y] == 1:
+                    absorbed += 1
+                    if y in uset:
+                        hits += 1
+            if hits == need and absorbed > best_absorbed:
+                best_t = t
+                best_absorbed = absorbed
+        if best_t < 0:
+            return None
+    cover.drop(w)
+    cover.members.remove(w)
     if best_t < 0:
-        return None
-    _drop_member(g, sol, counts, w)
-    counts[best_t] += 1
-    for y in nbr[off[best_t] : off[best_t + 1]]:
-        counts[y] += 1
-    sol.add(best_t)
+        return SwapMove(w, None)
+    cover.add(best_t)
+    cover.members.append(best_t)
     return SwapMove(w, best_t)
 
 
 def swap_phase(
-    g: Graph,
-    sol: Solution,
-    counts: CoverCounts,
-    budget: SwapBudget,
+    cover: Cover,
+    attempt_cap: int,
+    budget: Budget | None = None,
     rng: random.Random | None = None,
-    stop: threading.Event | None = None,
     debug: bool = False,
 ) -> None:
-    """Sweep the members in insertion order attempting one swap each, for at
-    most ``attempt_cap`` sweeps or until the time budget runs out.
+    """Sweep the members attempting one swap each, for at most
+    ``attempt_cap`` sweeps or until ``budget`` expires.
 
     After every applied swap a backward prune pass harvests follow-on
     removals, so the set size never increases. Each sweep visits the members
@@ -128,18 +90,15 @@ def swap_phase(
     revalidates the incremental counts against a fresh recomputation after
     every applied swap.
     """
-    deadline = None
-    if budget.time_budget_ms is not None:
-        deadline = time.perf_counter() + budget.time_budget_ms / 1000.0
-    in_set = sol.in_set
-    degree = g.degree
+    if attempt_cap < 1:
+        raise ValueError(f"attempt_cap must be strictly positive, got {attempt_cap}")
+    in_set = cover.in_set
+    degree = cover.g.degree
     checks = 0
-    for _ in range(budget.attempt_cap):
-        if deadline is not None and time.perf_counter() >= deadline:
+    for _ in range(attempt_cap):
+        if budget is not None and budget.expired():
             return
-        if stop is not None and stop.is_set():
-            return
-        order = list(sol.members)
+        order = list(cover.members)
         if rng is not None:
             rng.shuffle(order)
         changed = False
@@ -147,57 +106,30 @@ def swap_phase(
             if not in_set[w]:
                 continue
             checks += degree[w] + 1
-            if checks >= _TIME_CHECK_BATCH:
+            if checks >= _POLL_BATCH:
                 checks = 0
-                if deadline is not None and time.perf_counter() >= deadline:
+                if budget is not None and budget.expired():
                     return
-                if stop is not None and stop.is_set():
-                    return
-            if try_one_swap(g, sol, counts, w) is not None:
+            if try_one_swap(cover, w) is not None:
                 changed = True
-                backward_prune(g, sol, counts)
+                backward_prune(cover)
                 if debug:
-                    assert counts == compute_cover_counts(g, sol), "incremental cover counts drifted"
+                    fresh = compute_cover_counts(cover.g, cover.solution)
+                    assert cover.counts == fresh.counts, "incremental cover counts drifted"
+                    assert cover.uncovered == fresh.uncovered, "incremental uncovered count drifted"
         if not changed:
             return
 
 
 def safety_patch(g: Graph, sol: Solution) -> int:
-    """Recompute domination from scratch and greedily repair any gaps.
+    """Recount domination from ``sol``'s members and let lazy greedy repair
+    any gaps.
 
-    While uncovered vertices remain, adds the vertex covering the most of
-    them among the closed neighborhoods of the uncovered ones (ties toward
-    the smaller ID). Returns how many vertices were added; 0 on an already
-    valid solution.
+    The recount never trusts a stage's incrementally maintained Cover.
+    Lazy greedy then adds, while uncovered vertices remain, the vertex
+    covering the most of them (ties toward the smaller ID). Returns how
+    many vertices were added; 0 on an already valid solution.
     """
-    n = g.n
-    off = g.off
-    nbr = g.nbr
-    dominated = [False] * n
-    for d in sol.members:
-        dominated[d] = True
-        for x in nbr[off[d] : off[d + 1]]:
-            dominated[x] = True
-    uncovered = {v for v in range(n) if not dominated[v]}
-    added = 0
-    while uncovered:
-        best_v = -1
-        best_gain = 0
-        seen: set[int] = set()
-        for u in uncovered:
-            for c in (u, *nbr[off[u] : off[u + 1]]):
-                if c in seen:
-                    continue
-                seen.add(c)
-                gain = 1 if c in uncovered else 0
-                for y in nbr[off[c] : off[c + 1]]:
-                    if y in uncovered:
-                        gain += 1
-                if gain > best_gain or (gain == best_gain and c < best_v):
-                    best_gain = gain
-                    best_v = c
-        sol.add(best_v)
-        added += 1
-        uncovered.discard(best_v)
-        uncovered.difference_update(nbr[off[best_v] : off[best_v + 1]])
-    return added
+    before = len(sol)
+    lazy_greedy(compute_cover_counts(g, sol))
+    return len(sol) - before

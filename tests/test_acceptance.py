@@ -20,10 +20,10 @@ from networkx.generators.atlas import graph_atlas_g
 
 from domset import (
     AnnealConfig,
+    Budget,
     Graph,
     SolverConfig,
     brute_force_optimum,
-    eager_greedy,
     generate_instance,
     gnp,
     greedy_ln,
@@ -33,6 +33,7 @@ from domset import (
     star_forest,
     verify,
 )
+from domset.greedy import eager_greedy
 from domset.pipeline import _run_hedom5
 
 KINDS = ("gnp", "tree", "grid", "star-forest")
@@ -64,7 +65,7 @@ def _fast_cfg(algo: str, seed: int = 11, attempt_cap: int = 4, sa_epochs: int = 
         wallclock=False,
         attempt_cap=attempt_cap,
         seed=seed,
-        anneal=AnnealConfig(seed=seed, max_epochs=sa_epochs),
+        anneal=AnnealConfig(max_epochs=sa_epochs),
     )
 
 
@@ -258,8 +259,8 @@ def test_c7_reduction_soundness_on_leafy_instances():
         built += 1
         gamma, _ = brute_force_optimum(g)
         cfg = _fast_cfg("hedom5", seed=5, attempt_cap=20)
-        with_stage0 = _run_hedom5(g, cfg, None, None, time.perf_counter(), use_reductions=True)
-        without_stage0 = _run_hedom5(g, cfg, None, None, time.perf_counter(), use_reductions=False)
+        with_stage0 = _run_hedom5(g, cfg, None, Budget(), time.perf_counter(), use_reductions=True)
+        without_stage0 = _run_hedom5(g, cfg, None, Budget(), time.perf_counter(), use_reductions=False)
         assert verify(g, with_stage0).valid and verify(g, without_stage0).valid
         assert len(with_stage0) >= gamma
         if len(with_stage0) > len(without_stage0):

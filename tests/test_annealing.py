@@ -4,6 +4,7 @@ import pytest
 
 from domset import (
     AnnealConfig,
+    Budget,
     Solution,
     brute_force_optimum,
     decay,
@@ -41,13 +42,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AnnealConfig(moves_per_epoch=0, max_epochs=1)
     with pytest.raises(ValueError):
-        AnnealConfig()  # no terminating budget at all
+        AnnealConfig(max_epochs=-1)
 
 
 def test_sa_keeps_optimal_seed():
     g = star_graph(4)
     seed = Solution.from_members(5, [0])
-    out = sa_solve(g, seed, AnnealConfig(seed=1, max_epochs=30))
+    out = sa_solve(g, seed, AnnealConfig(max_epochs=30), seed=1)
     assert len(out) == 1
     assert verify(g, out).valid
 
@@ -55,7 +56,7 @@ def test_sa_keeps_optimal_seed():
 def test_sa_improves_oversized_seed():
     g = path_graph(4)
     seed = Solution.from_members(4, [0, 1, 2])
-    out = sa_solve(g, seed, AnnealConfig(seed=3, max_epochs=60))
+    out = sa_solve(g, seed, AnnealConfig(max_epochs=60), seed=3)
     assert len(out) == 2
     assert brute_force_optimum(g)[0] == 2
     assert verify(g, out).valid
@@ -64,7 +65,7 @@ def test_sa_improves_oversized_seed():
 def test_sa_zero_time_budget_returns_seed():
     g = path_graph(4)
     seed = Solution.from_members(4, [0, 1, 2])
-    out = sa_solve(g, seed, AnnealConfig(seed=3, time_budget_ms=0))
+    out = sa_solve(g, seed, AnnealConfig(), seed=3, budget=Budget(0))
     assert sorted(out.members) == [0, 1, 2]
 
 
@@ -79,7 +80,7 @@ def test_sa_never_worse_than_seed_and_always_valid():
     for _ in range(25):
         g = gnp(rng.randint(1, 40), rng.uniform(0.05, 0.4), rng.randrange(10**6))
         seed = greedy_ln(g)
-        out = sa_solve(g, seed, AnnealConfig(seed=rng.randrange(100), max_epochs=10), validate_each_move=True)
+        out = sa_solve(g, seed, AnnealConfig(max_epochs=10), seed=rng.randrange(100), validate_each_move=True)
         assert len(out) <= len(seed)
         assert verify(g, out).valid
 
@@ -87,7 +88,7 @@ def test_sa_never_worse_than_seed_and_always_valid():
 def test_sa_reproducible_with_fixed_seed():
     g = gnp(30, 0.2, seed=12)
     seed = greedy_ln(g)
-    cfg = AnnealConfig(seed=42, max_epochs=25)
-    first = sa_solve(g, seed, cfg)
-    second = sa_solve(g, seed, cfg)
+    cfg = AnnealConfig(max_epochs=25)
+    first = sa_solve(g, seed, cfg, seed=42)
+    second = sa_solve(g, seed, cfg, seed=42)
     assert first.members == second.members

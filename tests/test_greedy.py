@@ -2,64 +2,64 @@ import math
 import random
 
 from domset import (
-    CoverState,
     Graph,
     add_to_d,
     brute_force_optimum,
-    eager_greedy,
+    compute_cover_counts,
     gnp,
     greedy_ln,
     lazy_greedy,
     true_gain,
     verify,
 )
+from domset.greedy import eager_greedy
 
 from conftest import path_graph, star_graph
 
 
 def test_true_gain_fresh_star_center():
     g = star_graph(3)
-    state = CoverState(g)
-    assert true_gain(state, g, 0) == 4
+    state = compute_cover_counts(g)
+    assert true_gain(state, 0) == 4
 
 
 def test_true_gain_fully_dominated():
     g = star_graph(3)
-    state = CoverState(g)
-    add_to_d(state, g, 0)
+    state = compute_cover_counts(g)
+    add_to_d(state, 0)
     for v in range(g.n):
-        assert true_gain(state, g, v) == 0
+        assert true_gain(state, v) == 0
 
 
 def test_true_gain_partial_path():
     # P3 with D = {0}: vertex 2's closed neighborhood {1, 2} has only 2 undominated.
     g = path_graph(3)
-    state = CoverState(g)
-    add_to_d(state, g, 0)
-    assert true_gain(state, g, 2) == 1
+    state = compute_cover_counts(g)
+    add_to_d(state, 0)
+    assert true_gain(state, 2) == 1
 
 
 def test_lazy_greedy_star_picks_center():
     g = star_graph(4)
-    state = CoverState(g)
-    lazy_greedy(state, g)
+    state = compute_cover_counts(g)
+    lazy_greedy(state)
     assert state.solution.members == [0]
     assert brute_force_optimum(g)[0] == 1
 
 
 def test_lazy_greedy_two_triangles():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    state = CoverState(g)
-    lazy_greedy(state, g)
+    state = compute_cover_counts(g)
+    lazy_greedy(state)
     assert len(state.solution) == 2
     assert brute_force_optimum(g)[0] == 2
 
 
 def test_lazy_greedy_noop_when_dominated():
     g = star_graph(4)
-    state = CoverState(g)
-    add_to_d(state, g, 0)
-    lazy_greedy(state, g)
+    state = compute_cover_counts(g)
+    add_to_d(state, 0)
+    lazy_greedy(state)
     assert state.solution.members == [0]
 
 

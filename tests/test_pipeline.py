@@ -1,9 +1,10 @@
 import random
 import threading
+import time
 
 import pytest
 
-from domset import Graph, SolverConfig, brute_force_optimum, gnp, solve, verify
+from domset import AnnealConfig, Budget, Graph, SolverConfig, brute_force_optimum, gnp, solve, verify, write_solution
 from domset.pipeline import _run_hedom5
 
 from conftest import path_graph, star_graph
@@ -83,10 +84,29 @@ def test_preset_stop_token_still_yields_valid_output():
         assert verify(g, sol).valid
 
 
-def test_hedom5_without_reductions_hook():
-    import time
+def test_preset_stop_returns_quickly_at_20k_vertices():
+    # The stop path repairs a near-empty set; it has to stay near-linear.
+    g = gnp(20_000, 10 / 19_999, seed=20)
+    stop = threading.Event()
+    stop.set()
+    for algo in ("hedom5", "greedy", "sa"):
+        start = time.perf_counter()
+        sol = solve(g, _cfg(algorithm=algo), stop=stop)
+        elapsed = time.perf_counter() - start
+        assert verify(g, sol).valid
+        assert elapsed < 5.0, (algo, elapsed)
 
+
+def test_default_anneal_config_runs_attempt_counted():
+    g = gnp(200, 0.03, seed=4)
+    default = solve(g, SolverConfig(algorithm="sa", wallclock=False, seed=2, anneal=AnnealConfig()))
+    explicit = solve(g, SolverConfig(algorithm="sa", wallclock=False, seed=2, anneal=AnnealConfig(max_epochs=200)))
+    assert verify(g, default).valid
+    assert write_solution(default) == write_solution(explicit)
+
+
+def test_hedom5_without_reductions_hook():
     g = gnp(40, 0.1, seed=8)
     cfg = _cfg(algorithm="hedom5")
-    sol = _run_hedom5(g, cfg, trace=None, stop=None, start=time.perf_counter(), use_reductions=False)
+    sol = _run_hedom5(g, cfg, trace=None, budget=Budget(), start=time.perf_counter(), use_reductions=False)
     assert verify(g, sol).valid

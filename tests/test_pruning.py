@@ -7,20 +7,20 @@ from conftest import complete_graph, path_graph, star_graph
 
 def test_cover_counts_triangle_full_set():
     g = complete_graph(3)
-    counts = compute_cover_counts(g, Solution.from_members(3, [0, 1, 2]))
+    counts = compute_cover_counts(g, Solution.from_members(3, [0, 1, 2])).counts
     assert counts == [3, 3, 3]
 
 
 def test_cover_counts_star_center():
     g = star_graph(4)
-    counts = compute_cover_counts(g, Solution.from_members(5, [0]))
+    counts = compute_cover_counts(g, Solution.from_members(5, [0])).counts
     assert counts == [1, 1, 1, 1, 1]
 
 
 def test_cover_counts_path():
     # P3 with D = {0, 1}: counts 2, 2, 1.
     g = path_graph(3)
-    counts = compute_cover_counts(g, Solution.from_members(3, [0, 1]))
+    counts = compute_cover_counts(g, Solution.from_members(3, [0, 1])).counts
     assert counts == [2, 2, 1]
 
 
@@ -30,8 +30,8 @@ def test_backward_prune_path_example():
     # covered), leaving {1}.
     g = path_graph(3)
     sol = Solution.from_members(3, [2, 1])
-    counts = compute_cover_counts(g, sol)
-    backward_prune(g, sol, counts)
+    cover = compute_cover_counts(g, sol)
+    backward_prune(cover)
     assert sol.members == [1]
     assert verify(g, sol).valid
 
@@ -39,16 +39,16 @@ def test_backward_prune_path_example():
 def test_backward_prune_keeps_minimal_solution():
     g = star_graph(4)
     sol = Solution.from_members(5, [0])
-    counts = compute_cover_counts(g, sol)
-    backward_prune(g, sol, counts)
+    cover = compute_cover_counts(g, sol)
+    backward_prune(cover)
     assert sol.members == [0]
 
 
 def test_backward_prune_triangle_full_set():
     g = complete_graph(3)
     sol = Solution.from_members(3, [0, 1, 2])
-    counts = compute_cover_counts(g, sol)
-    backward_prune(g, sol, counts)
+    cover = compute_cover_counts(g, sol)
+    backward_prune(cover)
     assert len(sol) == 1
     assert verify(g, sol).valid
 
@@ -64,22 +64,23 @@ def test_prune_properties_on_random_solutions():
         for v in extras[: g.n // 3]:
             sol.add(v)
         before = len(sol)
-        counts = compute_cover_counts(g, sol)
-        backward_prune(g, sol, counts)
+        cover = compute_cover_counts(g, sol)
+        backward_prune(cover)
         assert len(sol) <= before
         assert verify(g, sol).valid
         # live counts match a fresh recomputation
-        assert counts == compute_cover_counts(g, sol)
+        assert cover.counts == compute_cover_counts(g, sol).counts
+        assert cover.uncovered == 0
         # a second pass over the pruned set removes nothing
         again = list(sol.members)
-        backward_prune(g, sol, compute_cover_counts(g, sol))
+        backward_prune(compute_cover_counts(g, sol))
         assert sol.members == again
 
 
 def test_prune_preserves_surviving_order():
     g = path_graph(6)
     sol = Solution.from_members(6, [4, 1, 3, 0])
-    counts = compute_cover_counts(g, sol)
-    backward_prune(g, sol, counts)
+    cover = compute_cover_counts(g, sol)
+    backward_prune(cover)
     order = [v for v in [4, 1, 3, 0] if sol.in_set[v]]
     assert sol.members == order

@@ -1,129 +1,148 @@
 import random
 from itertools import combinations
 
-from domset import CoverState, Graph, add_to_d, apply_isolate_rule, apply_leaf_rule, gnp, star_forest
+from domset import Cover, Graph, add_to_d, apply_isolate_rule, apply_leaf_rule, compute_cover_counts, gnp, star_forest
 
 from conftest import cycle_graph, path_graph, star_graph
 
 
-def recompute_dominated(g: Graph, state: CoverState) -> list[bool]:
-    dominated = [False] * g.n
+def recompute_counts(g: Graph, cover: Cover) -> list[int]:
+    counts = [0] * g.n
     for v in range(g.n):
-        if state.in_d[v]:
-            dominated[v] = True
-            for x in g.neighbors(v):
-                dominated[x] = True
-    return dominated
+        if cover.in_set[v]:
+            for x in g.closed_neighborhood(v):
+                counts[x] += 1
+    return counts
+
+
+def recompute_dominated(g: Graph, cover: Cover) -> list[bool]:
+    return [c > 0 for c in recompute_counts(g, cover)]
+
+
+def dominated(cover: Cover) -> list[bool]:
+    return [c > 0 for c in cover.counts]
 
 
 def test_add_to_d_star_center():
     g = star_graph(3)
-    state = CoverState(g)
-    add_to_d(state, g, 0)
-    assert state.dominated == [True] * 4
-    assert state.undominated_count == 0
-    assert state.solution.members == [0]
+    state = compute_cover_counts(g)
+    add_to_d(state, 0)
+    assert dominated(state) == [True] * 4
+    assert state.uncovered == 0
+    assert state.members == [0]
 
 
 def test_add_to_d_idempotent():
     g = star_graph(3)
-    state = CoverState(g)
-    add_to_d(state, g, 1)
-    add_to_d(state, g, 1)
-    assert state.solution.members == [1]
-    assert state.undominated_count == 2
+    state = compute_cover_counts(g)
+    add_to_d(state, 1)
+    add_to_d(state, 1)
+    assert state.members == [1]
+    assert state.uncovered == 2
 
 
 def test_add_to_d_isolated_vertex():
     g = Graph.from_edges(3, [(1, 2)])
-    state = CoverState(g)
-    add_to_d(state, g, 0)
-    assert state.dominated == [True, False, False]
-    assert state.undominated_count == 2
+    state = compute_cover_counts(g)
+    add_to_d(state, 0)
+    assert dominated(state) == [True, False, False]
+    assert state.uncovered == 2
 
 
 def test_add_to_d_bookkeeping_matches_recomputation():
     rng = random.Random(7)
     for _ in range(30):
         g = gnp(rng.randint(1, 15), rng.random(), rng.randrange(10**6))
-        state = CoverState(g)
+        state = compute_cover_counts(g)
         for _ in range(rng.randint(0, g.n)):
-            add_to_d(state, g, rng.randrange(g.n))
-            assert state.dominated == recompute_dominated(g, state)
-            assert state.undominated_count == state.dominated.count(False)
+            add_to_d(state, rng.randrange(g.n))
+            assert dominated(state) == recompute_dominated(g, state)
+            assert state.uncovered == dominated(state).count(False)
+        # Random drops and re-adds through Cover.drop / Cover.add must agree
+        # with a from-scratch recount after every step.
+        for _ in range(rng.randint(0, 2 * g.n)):
+            v = rng.randrange(g.n)
+            if state.in_set[v]:
+                state.drop(v)
+                state.members.remove(v)
+            else:
+                add_to_d(state, v)
+            assert state.counts == recompute_counts(g, state)
+            assert state.counts == compute_cover_counts(g, state.solution).counts
+            assert state.uncovered == dominated(state).count(False)
 
 
 def test_isolate_rule_all_isolates():
     g = Graph.from_edges(4, [])
-    state = CoverState(g)
-    assert apply_isolate_rule(state, g) == 4
-    assert state.undominated_count == 0
-    assert sorted(state.solution.members) == [0, 1, 2, 3]
+    state = compute_cover_counts(g)
+    assert apply_isolate_rule(state) == 4
+    assert state.uncovered == 0
+    assert sorted(state.members) == [0, 1, 2, 3]
 
 
 def test_isolate_rule_connected_graph():
-    state = CoverState(cycle_graph(5))
-    assert apply_isolate_rule(state, cycle_graph(5)) == 0
+    state = compute_cover_counts(cycle_graph(5))
+    assert apply_isolate_rule(state) == 0
 
 
 def test_isolate_rule_mixed():
     g = Graph.from_edges(3, [(1, 2)])
-    state = CoverState(g)
-    assert apply_isolate_rule(state, g) == 1
-    assert state.solution.members == [0]
+    state = compute_cover_counts(g)
+    assert apply_isolate_rule(state) == 1
+    assert state.members == [0]
 
 
 def test_leaf_rule_path_forces_center():
     g = path_graph(3)
-    state = CoverState(g)
-    apply_isolate_rule(state, g)
-    added = apply_leaf_rule(state, g)
+    state = compute_cover_counts(g)
+    apply_isolate_rule(state)
+    added = apply_leaf_rule(state)
     # gamma(P3) = 1: vertex 1 alone dominates, confirmed by exhaustive search below
     assert added == 1
-    assert state.solution.members == [1]
-    assert state.undominated_count == 0
+    assert state.members == [1]
+    assert state.uncovered == 0
     assert exhaustive_gamma(g) == 1
 
 
 def test_leaf_rule_star_adds_center_once():
     g = star_graph(5)
-    state = CoverState(g)
-    added = apply_leaf_rule(state, g)
+    state = compute_cover_counts(g)
+    added = apply_leaf_rule(state)
     assert added == 1
-    assert state.solution.members == [0]
+    assert state.members == [0]
 
 
 def test_leaf_rule_no_leaves():
     g = cycle_graph(4)
-    state = CoverState(g)
-    assert apply_leaf_rule(state, g) == 0
+    state = compute_cover_counts(g)
+    assert apply_leaf_rule(state) == 0
 
 
 def test_leaf_rule_isolated_edge():
     # First leaf in ID order forces its neighbor; the other leaf is then skipped.
     g = Graph.from_edges(2, [(0, 1)])
-    state = CoverState(g)
-    assert apply_leaf_rule(state, g) == 1
-    assert state.solution.members == [1]
+    state = compute_cover_counts(g)
+    assert apply_leaf_rule(state) == 1
+    assert state.members == [1]
 
 
 def test_reductions_postconditions_on_random_graphs():
     rng = random.Random(99)
     for _ in range(25):
         g = star_forest(rng.randint(1, 30), rng.randint(1, 6), rng.randrange(10**6))
-        state = CoverState(g)
+        state = compute_cover_counts(g)
         size_before = len(state.solution)
-        apply_isolate_rule(state, g)
+        apply_isolate_rule(state)
         assert len(state.solution) >= size_before
         mid = len(state.solution)
-        apply_leaf_rule(state, g)
+        apply_leaf_rule(state)
         assert len(state.solution) >= mid
         for v in range(g.n):
             if g.degree[v] == 0:
-                assert state.in_d[v]
+                assert state.in_set[v]
             if g.degree[v] == 1:
-                assert state.dominated[v]
-        assert state.dominated == recompute_dominated(g, state)
+                assert dominated(state)[v]
+        assert dominated(state) == recompute_dominated(g, state)
 
 
 def exhaustive_gamma(g: Graph, forced: tuple[int, ...] = ()) -> int:
@@ -150,10 +169,10 @@ def test_forced_vertices_never_hurt_the_optimum():
     for _ in range(40):
         n = rng.randint(2, 10)
         g = gnp(n, rng.uniform(0.05, 0.3), rng.randrange(10**6))
-        state = CoverState(g)
-        apply_isolate_rule(state, g)
-        apply_leaf_rule(state, g)
-        forced = tuple(state.solution.members)
+        state = compute_cover_counts(g)
+        apply_isolate_rule(state)
+        apply_leaf_rule(state)
+        forced = tuple(state.members)
         if not forced:
             continue
         checked += 1

@@ -3,10 +3,9 @@ import random
 import pytest
 
 from domset import (
+    Budget,
     Graph,
     Solution,
-    SwapBudget,
-    SwapMove,
     backward_prune,
     compute_cover_counts,
     gnp,
@@ -14,55 +13,58 @@ from domset import (
     safety_patch,
     swap_phase,
     try_one_swap,
-    uniquely_covered,
+    generate_instance,
     verify,
 )
+from domset.swaps import SwapMove
 
 from conftest import cycle_graph, path_graph, star_graph
 
 
 def test_swap_budget_validation():
+    g = cycle_graph(4)
     with pytest.raises(ValueError):
-        SwapBudget(attempt_cap=0)
+        swap_phase(compute_cover_counts(g, Solution.from_members(4, [0, 2])), attempt_cap=0)
     with pytest.raises(ValueError):
-        SwapBudget(attempt_cap=1, time_budget_ms=0)
-    SwapBudget(attempt_cap=1, time_budget_ms=None)  # attempt-counted mode
+        Budget(-1.0)
+    assert not Budget(None).expired()  # attempt-counted mode
+    assert Budget(0).expired()
 
 
 def test_uniquely_covered_sole_dominator():
     g = star_graph(3)
-    counts = compute_cover_counts(g, Solution.from_members(4, [0]))
-    assert sorted(uniquely_covered(g, counts, 0)) == [0, 1, 2, 3]
+    cover = compute_cover_counts(g, Solution.from_members(4, [0]))
+    assert sorted(cover.unique_of(0)) == [0, 1, 2, 3]
 
 
 def test_uniquely_covered_fully_shadowed():
     g = path_graph(3)
-    counts = compute_cover_counts(g, Solution.from_members(3, [0, 1]))
-    assert uniquely_covered(g, counts, 0) == []
+    cover = compute_cover_counts(g, Solution.from_members(3, [0, 1]))
+    assert cover.unique_of(0) == []
 
 
 def test_try_one_swap_free_removal():
     # P4 with D = {0, 2, 3}: member 3 covers nothing uniquely, so it just goes.
     g = path_graph(4)
     sol = Solution.from_members(4, [0, 2, 3])
-    counts = compute_cover_counts(g, sol)
-    assert uniquely_covered(g, counts, 3) == []
-    move = try_one_swap(g, sol, counts, 3)
+    cover = compute_cover_counts(g, sol)
+    assert cover.unique_of(3) == []
+    move = try_one_swap(cover, 3)
     assert move == SwapMove(removed=3, added=None)
     assert sorted(sol.members) == [0, 2]
     assert verify(g, sol).valid
-    assert counts == compute_cover_counts(g, sol)
+    assert cover.counts == compute_cover_counts(g, sol).counts
 
 
 def test_try_one_swap_no_candidate_leaves_state_alone():
     g = star_graph(3)
     sol = Solution.from_members(4, [0])
-    counts = compute_cover_counts(g, sol)
+    cover = compute_cover_counts(g, sol)
     before_members = list(sol.members)
-    before_counts = list(counts)
-    assert try_one_swap(g, sol, counts, 0) is None
+    before_counts = list(cover.counts)
+    assert try_one_swap(cover, 0) is None
     assert sol.members == before_members
-    assert counts == before_counts
+    assert cover.counts == before_counts
 
 
 def test_try_one_swap_exchange_on_cycle():
@@ -70,30 +72,30 @@ def test_try_one_swap_exchange_on_cycle():
     # {0, 1, 2} which includes it, so 0 is exchanged for 1.
     g = cycle_graph(4)
     sol = Solution.from_members(4, [0, 2])
-    counts = compute_cover_counts(g, sol)
-    assert uniquely_covered(g, counts, 0) == [0]
-    move = try_one_swap(g, sol, counts, 0)
+    cover = compute_cover_counts(g, sol)
+    assert cover.unique_of(0) == [0]
+    move = try_one_swap(cover, 0)
     assert move == SwapMove(removed=0, added=1)
     assert sorted(sol.members) == [1, 2]
     assert len(sol) == 2
     assert verify(g, sol).valid
-    assert counts == compute_cover_counts(g, sol)
+    assert cover.counts == compute_cover_counts(g, sol).counts
 
 
 def test_swap_phase_expired_budget_changes_nothing():
     g = cycle_graph(8)
     sol = greedy_ln(g)
-    counts = compute_cover_counts(g, sol)
+    cover = compute_cover_counts(g, sol)
     before = list(sol.members)
-    swap_phase(g, sol, counts, SwapBudget(attempt_cap=10, time_budget_ms=1e-9))
+    swap_phase(cover, attempt_cap=10, budget=Budget(1e-9))
     assert sol.members == before
 
 
 def test_swap_phase_fixpoint_stops_early():
     g = star_graph(5)
     sol = Solution.from_members(6, [0])
-    counts = compute_cover_counts(g, sol)
-    swap_phase(g, sol, counts, SwapBudget(attempt_cap=50, time_budget_ms=None))
+    cover = compute_cover_counts(g, sol)
+    swap_phase(cover, attempt_cap=50, budget=Budget(None))
     assert sol.members == [0]
 
 
@@ -102,13 +104,13 @@ def test_swap_phase_never_grows_and_stays_valid():
     for _ in range(30):
         g = gnp(rng.randint(1, 40), rng.uniform(0.05, 0.4), rng.randrange(10**6))
         sol = greedy_ln(g)
-        counts = compute_cover_counts(g, sol)
-        backward_prune(g, sol, counts)
+        cover = compute_cover_counts(g, sol)
+        backward_prune(cover)
         size_after_prune = len(sol)
-        swap_phase(g, sol, counts, SwapBudget(attempt_cap=8, time_budget_ms=None), debug=True)
+        swap_phase(cover, attempt_cap=8, budget=Budget(None), debug=True)
         assert len(sol) <= size_after_prune
         assert verify(g, sol).valid
-        assert counts == compute_cover_counts(g, sol)
+        assert cover.counts == compute_cover_counts(g, sol).counts
 
 
 def test_swap_phase_deterministic():
@@ -116,9 +118,9 @@ def test_swap_phase_deterministic():
     runs = []
     for _ in range(2):
         sol = greedy_ln(g)
-        counts = compute_cover_counts(g, sol)
-        backward_prune(g, sol, counts)
-        swap_phase(g, sol, counts, SwapBudget(attempt_cap=20, time_budget_ms=None), rng=random.Random(7))
+        cover = compute_cover_counts(g, sol)
+        backward_prune(cover)
+        swap_phase(cover, attempt_cap=20, budget=Budget(None), rng=random.Random(7))
         runs.append(list(sol.members))
     assert runs[0] == runs[1]
 
@@ -156,4 +158,45 @@ def test_safety_patch_always_terminates_valid():
                 sol.add(v)
         added = safety_patch(g, sol)
         assert added <= g.n
+        assert verify(g, sol).valid
+
+
+def _reference_patch(g: Graph, sol: Solution) -> list[int]:
+    """The patch rule written out directly: while anything is uncovered, add
+    the vertex covering the most uncovered vertices, smallest ID on ties."""
+    covered = [False] * g.n
+    for d in sol.members:
+        for x in g.closed_neighborhood(d):
+            covered[x] = True
+    added = []
+    while not all(covered):
+        best = max(range(g.n), key=lambda v: (sum(not covered[x] for x in g.closed_neighborhood(v)), -v))
+        added.append(best)
+        for x in g.closed_neighborhood(best):
+            covered[x] = True
+    return added
+
+
+def test_safety_patch_matches_reference_rule():
+    rng = random.Random(1105)
+    for i in range(120):
+        kind = i % 4
+        n = rng.randint(1, 300)
+        if kind == 0:
+            g = gnp(n, min(1.0, rng.uniform(0.0, 8.0) / max(1, n - 1)), rng.randrange(10**6))
+        elif kind == 1:
+            g = generate_instance("tree", rng.randrange(10**6), n=n)[0]
+        elif kind == 2:
+            g = generate_instance("star-forest", rng.randrange(10**6), n=n, max_star=rng.randint(1, 8))[0]
+        else:
+            rows = rng.randint(1, 17)
+            g = generate_instance("grid", rng.randrange(10**6), rows=rows, cols=rng.randint(1, 17))[0]
+        sol = Solution(g.n)
+        for v in range(g.n):
+            if rng.random() < rng.choice((0.0, 0.05, 0.2)):
+                sol.add(v)
+        before = list(sol.members)
+        expected = _reference_patch(g, sol)
+        assert safety_patch(g, sol) == len(expected)
+        assert sol.members == before + expected
         assert verify(g, sol).valid

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from domset import CoverState, Graph, Solution, add_to_d, brute_force_optimum, gnp, greedy_ln, verify
+from domset import Graph, Solution, add_to_d, brute_force_optimum, compute_cover_counts, gnp, greedy_ln, verify
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -60,13 +60,13 @@ def test_verify_agrees_with_cover_state():
     rng = random.Random(3)
     for _ in range(30):
         g = gnp(rng.randint(1, 20), rng.random(), rng.randrange(10**6))
-        state = CoverState(g)
+        state = compute_cover_counts(g)
         for _ in range(rng.randint(0, g.n)):
-            add_to_d(state, g, rng.randrange(g.n))
+            add_to_d(state, rng.randrange(g.n))
         report = verify(g, state.solution)
-        assert report.valid == (state.undominated_count == 0)
+        assert report.valid == (state.uncovered == 0)
         if not report.valid:
-            assert report.first_uncovered == state.dominated.index(False)
+            assert report.first_uncovered == state.counts.index(0)
 
 
 def test_oracle_known_values():
