@@ -7,7 +7,7 @@ from .state import Cover
 __all__ = ["backward_prune"]
 
 
-def backward_prune(cover: Cover) -> None:
+def backward_prune(cover: Cover, near: int | None = None, stamp: list[int] | None = None) -> None:
     """Single newest-first pass removing every member whose closed
     neighborhood is still covered at least twice.
 
@@ -17,15 +17,32 @@ def backward_prune(cover: Cover) -> None:
     ``cover.uncovered`` is unchanged. The scan reads the cover's lists as
     locals instead of calling :meth:`Cover.is_redundant` per member: a call
     per member is measurably slower on this hot path.
+
+    With ``near`` set, only the members whose closed neighborhood meets
+    N[near] are scanned, newest first by ``stamp`` (a per-vertex insertion
+    stamp that orders the members as ``cover.members`` does). When no
+    member was redundant before ``near``'s counts went up, only those
+    members can have become redundant, and the result equals the full
+    pass's.
     """
     members = cover.members
     in_set = cover.in_set
     counts = cover.counts
     off = cover.g.off
     nbr = cover.g.nbr
-    removed = False
-    for i in range(len(members) - 1, -1, -1):
-        v = members[i]
+    if near is not None:
+        cand = {near} if in_set[near] else set()
+        for x in nbr[off[near] : off[near + 1]]:
+            if in_set[x]:
+                cand.add(x)
+            for y in nbr[off[x] : off[x + 1]]:
+                if in_set[y]:
+                    cand.add(y)
+        order = sorted(cand, key=stamp.__getitem__, reverse=True)
+    else:
+        order = members[::-1]
+    removed = []
+    for v in order:
         if counts[v] < 2:
             continue
         redundant = True
@@ -38,7 +55,9 @@ def backward_prune(cover: Cover) -> None:
             counts[v] -= 1
             for x in nbr[off[v] : off[v + 1]]:
                 counts[x] -= 1
-            members[i] = -1
-            removed = True
-    if removed:
-        members[:] = [v for v in members if v >= 0]
+            removed.append(v)
+    if near is not None:
+        for v in removed:
+            members.remove(v)
+    elif removed:
+        members[:] = [v for v in members if in_set[v]]

@@ -80,21 +80,32 @@ def swap_phase(
     """Sweep the members attempting one swap each, for at most
     ``attempt_cap`` sweeps or until ``budget`` expires.
 
-    After every applied swap a backward prune pass harvests follow-on
-    removals, so the set size never increases. Each sweep visits the members
-    in an order shuffled by ``rng`` (insertion order when no rng is given),
-    which keeps the equal-size exchanges walking new plateaus instead of
-    oscillating; a seeded rng makes the phase reproducible. A sweep that
+    The first applied move is followed by a full backward prune pass,
+    after which no member is redundant. From then on an exchange raises
+    counts only on N[t] of the vertex t it adds, so a prune of the members
+    near t, newest first, harvests exactly the follow-on removals the full
+    pass would; a free removal only lowers counts and needs no prune. The
+    set size never increases. Each sweep visits the members in an order
+    shuffled by ``rng`` (insertion order when no rng is given), which keeps
+    the equal-size exchanges walking new plateaus instead of oscillating; a
+    seeded rng makes the phase reproducible. A sweep that
     applies nothing visited every member against an unchanged state, so it
     proves a fixpoint for any order and ends the phase early. ``debug``
     revalidates the incremental counts against a fresh recomputation after
-    every applied swap.
+    every applied swap, and checks that no member is redundant.
     """
     if attempt_cap < 1:
         raise ValueError(f"attempt_cap must be strictly positive, got {attempt_cap}")
     in_set = cover.in_set
     degree = cover.g.degree
     checks = 0
+    # Insertion stamps order the members as ``cover.members`` does, for the
+    # newest-first local prune.
+    stamp = [0] * cover.g.n
+    for i, v in enumerate(cover.members):
+        stamp[v] = i
+    clock = len(cover.members)
+    pruned = False
     for _ in range(attempt_cap):
         if budget is not None and budget.expired():
             return
@@ -110,13 +121,24 @@ def swap_phase(
                 checks = 0
                 if budget is not None and budget.expired():
                     return
-            if try_one_swap(cover, w) is not None:
-                changed = True
+            move = try_one_swap(cover, w)
+            if move is None:
+                continue
+            changed = True
+            t = move.added
+            if t is not None:
+                stamp[t] = clock
+                clock += 1
+            if not pruned:
                 backward_prune(cover)
-                if debug:
-                    fresh = compute_cover_counts(cover.g, cover.solution)
-                    assert cover.counts == fresh.counts, "incremental cover counts drifted"
-                    assert cover.uncovered == fresh.uncovered, "incremental uncovered count drifted"
+                pruned = True
+            elif t is not None:
+                backward_prune(cover, near=t, stamp=stamp)
+            if debug:
+                fresh = compute_cover_counts(cover.g, cover.solution)
+                assert cover.counts == fresh.counts, "incremental cover counts drifted"
+                assert cover.uncovered == fresh.uncovered, "incremental uncovered count drifted"
+                assert not any(map(cover.is_redundant, cover.members)), "a redundant member survived the prune"
         if not changed:
             return
 

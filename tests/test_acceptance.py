@@ -294,3 +294,4 @@ def test_c8_scale_smoke_100k_vertices():
         f"n={g.n} m={g.m}, size={len(sol)}, solved in {elapsed:.1f}s under a 10s budget, valid={report.valid}",
     )
     assert report.valid
+    assert elapsed <= 11.0, elapsed  # the 10 s budget plus 1 s slack

@@ -97,6 +97,36 @@ def test_preset_stop_returns_quickly_at_20k_vertices():
         assert elapsed < 5.0, (algo, elapsed)
 
 
+# A measured wall-clock hedom5 trace of this instance (2-core host): greedy
+# ends at 0.31-0.37 s, prune 5 ms later, and the swap phase then runs until
+# the 9.5 s deadline. So a stop at 20 ms lands in greedy and one at 1.5 s,
+# four times greedy's end, lands in the swap phase.
+@pytest.mark.parametrize("delay, stage", [(0.02, "greedy"), (1.5, "swap")])
+def test_stop_during_a_running_solve_returns_within_5s(delay, stage):
+    g = gnp(20_000, 10 / 19_999, seed=20)
+    stop = threading.Event()
+    fired = []
+
+    def fire() -> None:
+        fired.append(time.perf_counter())
+        stop.set()
+
+    trace = []
+    timer = threading.Timer(delay, fire)
+    timer.start()
+    try:
+        sol = solve(g, SolverConfig(algorithm="hedom5", attempt_cap=10_000, seed=3), trace=trace, stop=stop)
+        done = time.perf_counter()
+    finally:
+        timer.cancel()
+    assert fired, "the solve ended before the stop fired"
+    assert verify(g, sol).valid
+    assert done - fired[0] < 5.0, done - fired[0]
+    # A stop during greedy skips prune and swap; a later one ends the swap phase.
+    stages = [t.stage for t in trace]
+    assert ("swap" in stages) == (stage == "swap"), stages
+
+
 def test_default_anneal_config_runs_attempt_counted():
     g = gnp(200, 0.03, seed=4)
     default = solve(g, SolverConfig(algorithm="sa", wallclock=False, seed=2, anneal=AnnealConfig()))

@@ -113,6 +113,61 @@ def test_swap_phase_never_grows_and_stays_valid():
         assert cover.counts == compute_cover_counts(g, sol).counts
 
 
+def _reference_swap_phase(cover, attempt_cap: int, rng: random.Random) -> int:
+    """The swap loop with a full backward prune after every applied move.
+    Returns how many members the prunes after the first one removed."""
+    later_removed = 0
+    applied = 0
+    for _ in range(attempt_cap):
+        order = list(cover.members)
+        rng.shuffle(order)
+        changed = False
+        for w in order:
+            if cover.in_set[w] and try_one_swap(cover, w) is not None:
+                changed = True
+                applied += 1
+                before = len(cover.members)
+                backward_prune(cover)
+                if applied > 1:
+                    later_removed += before - len(cover.members)
+        if not changed:
+            break
+    return later_removed
+
+
+def test_local_prune_matches_full_prune_after_every_move():
+    rng = random.Random(2024)
+    later_removed = 0
+    for i in range(100):
+        kind = i % 4
+        n = rng.randint(1, 300)
+        if kind == 0:
+            g = gnp(n, min(1.0, rng.uniform(1.0, 10.0) / max(1, n - 1)), rng.randrange(10**6))
+        elif kind == 1:
+            g = generate_instance("tree", rng.randrange(10**6), n=n)[0]
+        elif kind == 2:
+            g = generate_instance("star-forest", rng.randrange(10**6), n=n, max_star=rng.randint(1, 8))[0]
+        else:
+            g = generate_instance("grid", 0, rows=rng.randint(1, 17), cols=rng.randint(1, 17))[0]
+        start = list(greedy_ln(g).members)
+        pruned = compute_cover_counts(g, Solution.from_members(g.n, start))
+        backward_prune(pruned)
+        # Greedy output plus random extra members: redundant from the start.
+        taken = set(start)
+        extra = start + [v for v in range(g.n) if v not in taken and rng.random() < 0.1]
+        for members in (list(pruned.members), extra):
+            for seed in (1, 2, 3):
+                ref = compute_cover_counts(g, Solution.from_members(g.n, members))
+                later_removed += _reference_swap_phase(ref, 6, random.Random(seed))
+                cover = compute_cover_counts(g, Solution.from_members(g.n, members))
+                swap_phase(cover, attempt_cap=6, rng=random.Random(seed), debug=True)
+                assert cover.members == ref.members, (i, seed)
+                assert cover.counts == ref.counts
+                assert cover.uncovered == ref.uncovered == 0
+    # The comparison means something only if later prunes removed members.
+    assert later_removed > 0, later_removed
+
+
 def test_swap_phase_deterministic():
     g = gnp(12, 0.3, seed=9)
     runs = []
