@@ -80,10 +80,9 @@ def sa_solve(
         return seed_solution.copy()
 
     cover = compute_cover_counts(g, seed_solution.copy())
-    # Member order is a pick array: removal swaps the last member into the
-    # freed slot, so it stays O(1), and its order drives the random picks.
+    # The cover's pick array: its order, kept by swap-with-last drops,
+    # drives the random picks.
     cur = cover.members
-    pos = {v: i for i, v in enumerate(cur)}
     in_set = cover.in_set
     best = list(cur)
     off = g.off
@@ -139,15 +138,8 @@ def sa_solve(
                     continue
             if out >= 0:
                 cover.drop(out)
-                i = pos.pop(out)
-                last = cur.pop()
-                if last != out:
-                    cur[i] = last
-                    pos[last] = i
             if put >= 0:
                 cover.add(put)
-                pos[put] = len(cur)
-                cur.append(put)
             if validate_each_move:
                 assert feasible(), "annealing move broke domination"
             if len(cur) < len(best):

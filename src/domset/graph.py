@@ -86,7 +86,13 @@ class Graph:
 
 
 class Solution:
-    """Insertion-ordered dominator list with O(1) membership flags."""
+    """Dominator list with O(1) membership flags.
+
+    ``add`` and ``from_members`` append, so a fresh solution lists its
+    members in insertion order. A :class:`~domset.state.Cover` built over
+    it takes that order as insertion order, and its drops reorder the list;
+    ``Cover.in_order`` then gives the insertion order.
+    """
 
     __slots__ = ("members", "in_set")
 
@@ -117,10 +123,6 @@ class Solution:
         self.members.append(v)
         self.in_set[v] = True
         return True
-
-    def remove(self, v: int) -> None:
-        self.in_set[v] = False
-        self.members.remove(v)
 
     def copy(self) -> "Solution":
         dup = Solution.__new__(Solution)

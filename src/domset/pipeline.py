@@ -77,13 +77,11 @@ def _run_hedom5(
     trace: list[StageTrace] | None,
     budget: Budget,
     start: float,
-    use_reductions: bool = True,
 ) -> Solution:
     cover = compute_cover_counts(g)
     sol = cover.solution
-    if use_reductions:
-        apply_isolate_rule(cover)
-        apply_leaf_rule(cover)
+    apply_isolate_rule(cover)
+    apply_leaf_rule(cover)
     _record(trace, "reductions", len(sol), start)
 
     lazy_greedy(cover, budget)

@@ -7,25 +7,23 @@ from .state import Cover
 __all__ = ["backward_prune"]
 
 
-def backward_prune(cover: Cover, near: int | None = None, stamp: list[int] | None = None) -> None:
+def backward_prune(cover: Cover, near: int | None = None) -> None:
     """Single newest-first pass removing every member whose closed
     neighborhood is still covered at least twice.
 
+    Members are scanned in reverse insertion order (:meth:`Cover.in_order`).
     Counts are maintained live, so members that only become redundant
-    through removals later in the scan are still caught. Survivors keep
-    their relative insertion order. Only redundant members leave, so
-    ``cover.uncovered`` is unchanged. The scan reads the cover's lists as
-    locals instead of calling :meth:`Cover.is_redundant` per member: a call
-    per member is measurably slower on this hot path.
+    through removals later in the scan are still caught. Only redundant
+    members leave, so ``cover.uncovered`` is unchanged. The redundancy test
+    reads the cover's lists as locals instead of calling
+    :meth:`Cover.is_redundant` per member: a call per member is measurably
+    slower on this hot path.
 
     With ``near`` set, only the members whose closed neighborhood meets
-    N[near] are scanned, newest first by ``stamp`` (a per-vertex insertion
-    stamp that orders the members as ``cover.members`` does). When no
-    member was redundant before ``near``'s counts went up, only those
-    members can have become redundant, and the result equals the full
-    pass's.
+    N[near] are scanned, newest first. When no member was redundant before
+    ``near``'s counts went up, only those members can have become
+    redundant, and the result equals the full pass's.
     """
-    members = cover.members
     in_set = cover.in_set
     counts = cover.counts
     off = cover.g.off
@@ -38,11 +36,9 @@ def backward_prune(cover: Cover, near: int | None = None, stamp: list[int] | Non
             for y in nbr[off[x] : off[x + 1]]:
                 if in_set[y]:
                     cand.add(y)
-        order = sorted(cand, key=stamp.__getitem__, reverse=True)
     else:
-        order = members[::-1]
-    removed = []
-    for v in order:
+        cand = cover.members
+    for v in sorted(cand, key=cover.stamp.__getitem__, reverse=True):
         if counts[v] < 2:
             continue
         redundant = True
@@ -51,13 +47,4 @@ def backward_prune(cover: Cover, near: int | None = None, stamp: list[int] | Non
                 redundant = False
                 break
         if redundant:
-            in_set[v] = False
-            counts[v] -= 1
-            for x in nbr[off[v] : off[v + 1]]:
-                counts[x] -= 1
-            removed.append(v)
-    if near is not None:
-        for v in removed:
-            members.remove(v)
-    elif removed:
-        members[:] = [v for v in members if in_set[v]]
+            cover.drop(v)

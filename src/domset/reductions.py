@@ -1,9 +1,9 @@
-"""Stage 0 reduction rules and the insertion-ordered add used while a
-dominating set is being built.
+"""Stage 0 reduction rules and the idempotent add used while a dominating
+set is being built.
 
 Reductions and greedy grow the set only through :func:`add_to_d`, which
-appends to the solution's member order and counts the new closed
-neighborhood in the shared :class:`~domset.state.Cover`.
+hands a new vertex to the shared :class:`~domset.state.Cover` as its
+newest member.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ def add_to_d(cover: Cover, v: int) -> None:
 
     Idempotent: a vertex already in the set is left alone.
     """
-    if cover.in_set[v]:
-        return
-    cover.add(v)
-    cover.members.append(v)
+    if not cover.in_set[v]:
+        cover.add(v)
 
 
 def apply_isolate_rule(cover: Cover) -> int:

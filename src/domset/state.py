@@ -4,6 +4,7 @@ run must stop."""
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
@@ -13,34 +14,44 @@ __all__ = ["Budget", "Cover", "compute_cover_counts"]
 
 
 class Cover:
-    """Domination counts of a vertex set, kept in step with its membership.
+    """Domination counts of a vertex set, kept in step with its membership
+    and member order.
 
     ``counts[x]`` is the number of members whose closed neighborhood
     contains ``x``, so ``x`` is dominated iff ``counts[x] > 0``;
-    ``uncovered`` is the number of zero entries. ``in_set`` is the
-    membership flag list of ``solution``. :meth:`add` and :meth:`drop`
-    update flags and counts but leave member order to its owner, who
-    appends to or removes from ``members`` itself: hedom5 keeps insertion
-    order there, annealing a swap-with-last pick array.
+    ``uncovered`` is the number of zero entries. ``in_set`` and ``members``
+    are the flag list and member list of ``solution``, and :meth:`add` and
+    :meth:`drop` are the only ways a stage changes them. ``members`` is a
+    pick array: ``members[pos[v]] == v``, and a drop moves the last member
+    into the freed slot, so both moves are O(deg). Insertion order, which
+    the prune and the swap sweeps read, is kept apart as a per-vertex stamp
+    and read back by :meth:`in_order`.
     """
 
-    __slots__ = ("g", "solution", "in_set", "counts", "uncovered")
+    __slots__ = ("g", "solution", "in_set", "members", "counts", "uncovered", "pos", "stamp", "clock")
 
     def __init__(self, g: Graph, solution: Solution, counts: list[int]) -> None:
         self.g = g
         self.solution = solution
         self.in_set = solution.in_set
+        self.members = solution.members
         self.counts = counts
         self.uncovered = counts.count(0)
-
-    @property
-    def members(self) -> list[int]:
-        """The counted set's members, in their owner's order."""
-        return self.solution.members
+        self.pos = [0] * g.n
+        self.stamp = [0] * g.n
+        for i, v in enumerate(self.members):
+            self.pos[v] = i
+            self.stamp[v] = i
+        self.clock = itertools.count(len(self.members))
 
     def add(self, v: int) -> None:
-        """Flag ``v`` as a member and count its closed neighborhood once more."""
+        """Make non-member ``v`` the newest member and count its closed
+        neighborhood once more."""
         self.in_set[v] = True
+        members = self.members
+        self.pos[v] = len(members)
+        members.append(v)
+        self.stamp[v] = next(self.clock)
         g = self.g
         counts = self.counts
         newly = 0 if counts[v] else 1
@@ -53,8 +64,16 @@ class Cover:
         self.uncovered -= newly
 
     def drop(self, v: int) -> None:
-        """Clear ``v``'s member flag and count its closed neighborhood once less."""
+        """Remove member ``v``, moving the last member into its slot, and
+        count its closed neighborhood once less."""
         self.in_set[v] = False
+        members = self.members
+        last = members.pop()
+        if last != v:
+            pos = self.pos
+            i = pos[v]
+            members[i] = last
+            pos[last] = i
         g = self.g
         counts = self.counts
         counts[v] -= 1
@@ -65,6 +84,10 @@ class Cover:
             if not c:
                 lost += 1
         self.uncovered += lost
+
+    def in_order(self) -> list[int]:
+        """The members in insertion order, oldest first."""
+        return sorted(self.members, key=self.stamp.__getitem__)
 
     def is_redundant(self, v: int) -> bool:
         """True when every vertex of N[v] is dominated at least twice, so
@@ -92,7 +115,7 @@ class Cover:
 def compute_cover_counts(g: Graph, sol: Solution | None = None) -> Cover:
     """Count from scratch how often ``sol`` (a fresh empty set by default)
     dominates each vertex. The returned Cover shares ``sol``'s flags and
-    member list."""
+    member list and takes the list's order as insertion order."""
     if sol is None:
         sol = Solution(g.n)
     counts = [0] * g.n

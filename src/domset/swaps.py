@@ -62,11 +62,9 @@ def try_one_swap(cover: Cover, w: int) -> SwapMove | None:
         if best_t < 0:
             return None
     cover.drop(w)
-    cover.members.remove(w)
     if best_t < 0:
         return SwapMove(w, None)
     cover.add(best_t)
-    cover.members.append(best_t)
     return SwapMove(w, best_t)
 
 
@@ -85,31 +83,26 @@ def swap_phase(
     counts only on N[t] of the vertex t it adds, so a prune of the members
     near t, newest first, harvests exactly the follow-on removals the full
     pass would; a free removal only lowers counts and needs no prune. The
-    set size never increases. Each sweep visits the members in an order
-    shuffled by ``rng`` (insertion order when no rng is given), which keeps
-    the equal-size exchanges walking new plateaus instead of oscillating; a
-    seeded rng makes the phase reproducible. A sweep that
-    applies nothing visited every member against an unchanged state, so it
-    proves a fixpoint for any order and ends the phase early. ``debug``
-    revalidates the incremental counts against a fresh recomputation after
-    every applied swap, and checks that no member is redundant.
+    set size never increases. Each sweep starts from the members in
+    insertion order (:meth:`Cover.in_order`) and shuffles them with
+    ``rng`` when one is given, which keeps the equal-size exchanges walking
+    new plateaus instead of oscillating; a seeded rng makes the phase
+    reproducible. A sweep that applies nothing visited every member against
+    an unchanged state, so it proves a fixpoint for any order and ends the
+    phase early. ``debug`` revalidates the incremental counts against a
+    fresh recomputation after every applied swap, and checks that no
+    member is redundant.
     """
     if attempt_cap < 1:
         raise ValueError(f"attempt_cap must be strictly positive, got {attempt_cap}")
     in_set = cover.in_set
     degree = cover.g.degree
     checks = 0
-    # Insertion stamps order the members as ``cover.members`` does, for the
-    # newest-first local prune.
-    stamp = [0] * cover.g.n
-    for i, v in enumerate(cover.members):
-        stamp[v] = i
-    clock = len(cover.members)
     pruned = False
     for _ in range(attempt_cap):
         if budget is not None and budget.expired():
             return
-        order = list(cover.members)
+        order = cover.in_order()
         if rng is not None:
             rng.shuffle(order)
         changed = False
@@ -125,15 +118,11 @@ def swap_phase(
             if move is None:
                 continue
             changed = True
-            t = move.added
-            if t is not None:
-                stamp[t] = clock
-                clock += 1
             if not pruned:
                 backward_prune(cover)
                 pruned = True
-            elif t is not None:
-                backward_prune(cover, near=t, stamp=stamp)
+            elif move.added is not None:
+                backward_prune(cover, near=move.added)
             if debug:
                 fresh = compute_cover_counts(cover.g, cover.solution)
                 assert cover.counts == fresh.counts, "incremental cover counts drifted"

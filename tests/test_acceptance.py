@@ -20,7 +20,6 @@ from networkx.generators.atlas import graph_atlas_g
 
 from domset import (
     AnnealConfig,
-    Budget,
     Graph,
     SolverConfig,
     brute_force_optimum,
@@ -34,7 +33,6 @@ from domset import (
     verify,
 )
 from domset.greedy import eager_greedy
-from domset.pipeline import _run_hedom5
 
 KINDS = ("gnp", "tree", "grid", "star-forest")
 
@@ -237,7 +235,7 @@ def test_c6_byte_identical_determinism(tmp_path):
     assert solve_a == solve_b
 
 
-def test_c7_reduction_soundness_on_leafy_instances():
+def test_c7_reduction_soundness_on_leafy_instances(monkeypatch):
     rng = random.Random(777)
     size_regressions = []
     isolate_misses = []
@@ -259,8 +257,11 @@ def test_c7_reduction_soundness_on_leafy_instances():
         built += 1
         gamma, _ = brute_force_optimum(g)
         cfg = _fast_cfg("hedom5", seed=5, attempt_cap=20)
-        with_stage0 = _run_hedom5(g, cfg, None, Budget(), time.perf_counter(), use_reductions=True)
-        without_stage0 = _run_hedom5(g, cfg, None, Budget(), time.perf_counter(), use_reductions=False)
+        with_stage0 = solve(g, cfg)
+        with monkeypatch.context() as m:
+            m.setattr("domset.pipeline.apply_isolate_rule", lambda cover: 0)
+            m.setattr("domset.pipeline.apply_leaf_rule", lambda cover: 0)
+            without_stage0 = solve(g, cfg)
         assert verify(g, with_stage0).valid and verify(g, without_stage0).valid
         assert len(with_stage0) >= gamma
         if len(with_stage0) > len(without_stage0):

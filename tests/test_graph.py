@@ -158,12 +158,9 @@ def test_solution_from_members_validates():
         Solution.from_members(3, [5])
 
 
-def test_solution_add_remove():
+def test_solution_add():
     sol = Solution(4)
     assert sol.add(2)
     assert not sol.add(2)
     assert sol.add(0)
     assert sol.members == [2, 0]
-    sol.remove(2)
-    assert sol.members == [0]
-    assert not sol.in_set[2]

@@ -4,8 +4,7 @@ import time
 
 import pytest
 
-from domset import AnnealConfig, Budget, Graph, SolverConfig, brute_force_optimum, gnp, solve, verify, write_solution
-from domset.pipeline import _run_hedom5
+from domset import AnnealConfig, Graph, SolverConfig, brute_force_optimum, gnp, solve, verify, write_solution
 
 from conftest import path_graph, star_graph
 
@@ -135,8 +134,9 @@ def test_default_anneal_config_runs_attempt_counted():
     assert write_solution(default) == write_solution(explicit)
 
 
-def test_hedom5_without_reductions_hook():
+def test_hedom5_without_reductions_hook(monkeypatch):
+    monkeypatch.setattr("domset.pipeline.apply_isolate_rule", lambda cover: 0)
+    monkeypatch.setattr("domset.pipeline.apply_leaf_rule", lambda cover: 0)
     g = gnp(40, 0.1, seed=8)
-    cfg = _cfg(algorithm="hedom5")
-    sol = _run_hedom5(g, cfg, trace=None, budget=Budget(), start=time.perf_counter(), use_reductions=False)
+    sol = solve(g, _cfg(algorithm="hedom5"))
     assert verify(g, sol).valid

@@ -54,22 +54,31 @@ def test_add_to_d_bookkeeping_matches_recomputation():
     for _ in range(30):
         g = gnp(rng.randint(1, 15), rng.random(), rng.randrange(10**6))
         state = compute_cover_counts(g)
+        inserted = []  # insertion order, kept by hand
         for _ in range(rng.randint(0, g.n)):
-            add_to_d(state, rng.randrange(g.n))
+            v = rng.randrange(g.n)
+            if not state.in_set[v]:
+                inserted.append(v)
+            add_to_d(state, v)
             assert dominated(state) == recompute_dominated(g, state)
             assert state.uncovered == dominated(state).count(False)
         # Random drops and re-adds through Cover.drop / Cover.add must agree
-        # with a from-scratch recount after every step.
+        # with a from-scratch recount after every step, and keep the member
+        # list, its position index and its insertion order in step.
         for _ in range(rng.randint(0, 2 * g.n)):
             v = rng.randrange(g.n)
             if state.in_set[v]:
                 state.drop(v)
-                state.members.remove(v)
+                inserted.remove(v)
             else:
                 add_to_d(state, v)
+                inserted.append(v)
             assert state.counts == recompute_counts(g, state)
             assert state.counts == compute_cover_counts(g, state.solution).counts
             assert state.uncovered == dominated(state).count(False)
+            assert set(state.members) == {x for x in range(g.n) if state.in_set[x]}
+            assert all(state.members[state.pos[x]] == x for x in state.members)
+            assert state.in_order() == inserted
 
 
 def test_isolate_rule_all_isolates():

@@ -119,7 +119,7 @@ def _reference_swap_phase(cover, attempt_cap: int, rng: random.Random) -> int:
     later_removed = 0
     applied = 0
     for _ in range(attempt_cap):
-        order = list(cover.members)
+        order = cover.in_order()
         rng.shuffle(order)
         changed = False
         for w in order:
