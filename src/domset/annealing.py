@@ -102,14 +102,10 @@ def sa_solve(
             out = put = -1
             r = rng.random()
             if r < _P_REMOVAL:
-                if not cur:
-                    continue
                 out = cur[rng.randrange(len(cur))]
                 if not cover.is_redundant(out):
                     continue
             elif r < _P_EXCHANGE:
-                if not cur:
-                    continue
                 out = cur[rng.randrange(len(cur))]
                 cands = [t for t in nbr[off[out] : off[out + 1]] if not in_set[t]]
                 if not cands:

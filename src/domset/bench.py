@@ -122,11 +122,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def render_csv(records: list[BenchRecord], include_summary: bool = True) -> str:
+def render_csv(records: list[BenchRecord]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    rows = list(records)
-    if include_summary and records:
-        rows.extend(summarize(records))
-    for r in rows:
+    for r in records + summarize(records):
         lines.append(",".join(_cell(getattr(r, col)) for col in CSV_COLUMNS))
     return "\n".join(lines) + "\n"

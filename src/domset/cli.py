@@ -68,13 +68,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     stop = threading.Event()
+    previous = {}
     for sig in (signal.SIGTERM, signal.SIGINT):
         try:
-            signal.signal(sig, lambda *_: stop.set())
+            previous[sig] = signal.signal(sig, lambda *_: stop.set())
         except ValueError:
             pass  # not the main thread
     trace: list[StageTrace] | None = [] if args.trace else None
-    sol = solve(g, _solver_config(args), trace=trace, stop=stop)
+    try:
+        sol = solve(g, _solver_config(args), trace=trace, stop=stop)
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     if trace is not None:
         for entry in trace:
             print(json.dumps({"stage": entry.stage, "size": entry.size, "ms": round(entry.ms, 3)}), file=sys.stderr)

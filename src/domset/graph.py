@@ -213,7 +213,6 @@ def parse_solution(data: bytes | str, n: int) -> Solution:
     else:
         text = data
     size = -1
-    members: list[int] = []
     sol = Solution(n)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -231,16 +230,15 @@ def parse_solution(data: bytes | str, n: int) -> Solution:
                 raise ParseError(lineno, f"solution size must be non-negative, got {value}")
             size = value
             continue
-        if len(members) >= size:
+        if len(sol) >= size:
             raise ParseError(lineno, f"more vertex lines than the declared size {size}")
         if not 1 <= value <= n:
             raise ParseError(lineno, f"vertex ID out of range 1..{n}")
         if sol.in_set[value - 1]:
             raise ParseError(lineno, f"duplicate vertex {value}")
-        members.append(value - 1)
         sol.add(value - 1)
     if size < 0:
         raise ParseError(None, "missing solution size line")
-    if len(members) < size:
-        raise ParseError(None, f"declared size {size} but found only {len(members)} vertices")
+    if len(sol) < size:
+        raise ParseError(None, f"declared size {size} but found only {len(sol)} vertices")
     return sol

@@ -1,12 +1,14 @@
 """End-to-end solver orchestration and algorithm selection.
 
-The hedom5 pipeline runs reductions, lazy greedy, backward pruning, the
-1-swap phase, and a final safety patch, in that order, on one shared
-:class:`~domset.state.Cover`. :func:`solve` builds one
-:class:`~domset.state.Budget` per run: in wall-clock mode its deadline is
-the global time budget minus a 5% reserve for output, and the stop event
-ends it early. Greedy, swap and annealing poll it; once it has expired,
-the best set so far is patched to validity and returned.
+:func:`solve` runs every algorithm as construct, improve, finish. hedom5
+constructs with the isolate/leaf reductions and lazy greedy on one shared
+:class:`~domset.state.Cover` and improves with backward pruning and the
+1-swap phase; greedy and sa construct with the plain greedy baseline, and
+sa improves by annealing. Every run finishes with one safety patch and one
+verify. :func:`solve` builds one :class:`~domset.state.Budget` per run: in
+wall-clock mode its deadline is the global time budget minus a 5% reserve
+for output, and the stop event ends it early. Greedy, swap and annealing
+poll it; once it has expired, the improvement stage is skipped.
 """
 
 from __future__ import annotations
@@ -66,37 +68,6 @@ class SolverConfig:
             raise ValueError("attempt_cap must be strictly positive")
 
 
-def _record(trace: list[StageTrace] | None, stage: str, size: int, start: float) -> None:
-    if trace is not None:
-        trace.append(StageTrace(stage, size, (time.perf_counter() - start) * 1000.0))
-
-
-def _run_hedom5(
-    g: Graph,
-    cfg: SolverConfig,
-    trace: list[StageTrace] | None,
-    budget: Budget,
-    start: float,
-) -> Solution:
-    cover = compute_cover_counts(g)
-    sol = cover.solution
-    apply_isolate_rule(cover)
-    apply_leaf_rule(cover)
-    _record(trace, "reductions", len(sol), start)
-
-    lazy_greedy(cover, budget)
-    _record(trace, "greedy", len(sol), start)
-    if not budget.expired():
-        backward_prune(cover)
-        _record(trace, "prune", len(sol), start)
-        swap_phase(cover, cfg.attempt_cap, budget, rng=random.Random(cfg.seed))
-        _record(trace, "swap", len(sol), start)
-
-    safety_patch(g, sol)
-    _record(trace, "patch", len(sol), start)
-    return sol
-
-
 def solve(
     g: Graph,
     cfg: SolverConfig,
@@ -105,20 +76,42 @@ def solve(
 ) -> Solution:
     """Run the configured algorithm and return a verified dominating set.
 
-    ``trace`` collects per-stage sizes and timings (hedom5 only). ``stop``
-    is polled throughout; when set, the best solution found so far is
-    patched to validity and returned early.
+    ``trace`` collects the size and elapsed ms after every stage: hedom5
+    records reductions, greedy, prune, swap and patch; greedy records
+    greedy and patch; sa records greedy, anneal and patch. ``stop`` is
+    polled throughout; when set, the improvement stage is skipped or cut
+    short and the best set so far is patched to validity and returned.
     """
     start = time.perf_counter()
     budget = Budget(cfg.time_budget_ms * (1.0 - _OUTPUT_RESERVE) if cfg.wallclock else None, stop)
+
+    def record(stage: str) -> None:
+        if trace is not None:
+            trace.append(StageTrace(stage, len(sol), (time.perf_counter() - start) * 1000.0))
+
     if cfg.algorithm == "hedom5":
-        sol = _run_hedom5(g, cfg, trace, budget, start)
+        cover = compute_cover_counts(g)
+        sol = cover.solution
+        apply_isolate_rule(cover)
+        apply_leaf_rule(cover)
+        record("reductions")
+        lazy_greedy(cover, budget)
     else:
         sol = greedy_ln(g, budget)
-        if budget.expired():
-            safety_patch(g, sol)
+    record("greedy")
+
+    if not budget.expired():
+        if cfg.algorithm == "hedom5":
+            backward_prune(cover)
+            record("prune")
+            swap_phase(cover, cfg.attempt_cap, budget, rng=random.Random(cfg.seed))
+            record("swap")
         elif cfg.algorithm == "sa":
             sol = sa_solve(g, sol, cfg.anneal, cfg.seed, budget)
+            record("anneal")
+
+    safety_patch(g, sol)
+    record("patch")
     report = verify(g, sol)
     if not report.valid:
         raise RuntimeError(f"internal error: solver left vertex {report.first_uncovered} uncovered")

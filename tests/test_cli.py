@@ -1,3 +1,4 @@
+import signal
 import subprocess
 import sys
 
@@ -34,12 +35,21 @@ def test_solve_reads_stdin():
 def test_solve_trace_lines_on_stderr(tmp_path, capsys):
     inst = tmp_path / "star.ds"
     inst.write_text(STAR5)
-    code = run_cli("solve", str(inst), "--no-wallclock", "--trace")
-    captured = capsys.readouterr()
-    assert code == 0
-    stages = [line for line in captured.err.splitlines() if line.startswith("{")]
-    assert len(stages) == 5
-    assert '"stage": "reductions"' in stages[0]
+    for algo, count, first in (("hedom5", 5, "reductions"), ("sa", 3, "greedy")):
+        code = run_cli("solve", str(inst), "--algo", algo, "--no-wallclock", "--sa-epochs", "3", "--trace")
+        captured = capsys.readouterr()
+        assert code == 0
+        stages = [line for line in captured.err.splitlines() if line.startswith("{")]
+        assert len(stages) == count
+        assert f'"stage": "{first}"' in stages[0]
+
+
+def test_solve_restores_signal_handlers(tmp_path, capsys):
+    inst = tmp_path / "star.ds"
+    inst.write_text(STAR5)
+    before = [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)]
+    assert run_cli("solve", str(inst), "--no-wallclock") == 0
+    assert [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)] == before
 
 
 def test_verify_valid_and_invalid(tmp_path, capsys):

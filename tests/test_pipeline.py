@@ -54,17 +54,26 @@ def test_every_algorithm_output_verifies():
             assert verify(g, sol).valid
 
 
+STAGES = {
+    "hedom5": ["reductions", "greedy", "prune", "swap", "patch"],
+    "greedy": ["greedy", "patch"],
+    "sa": ["greedy", "anneal", "patch"],
+}
+
+
 def test_stage_trace_sizes_are_monotone():
     rng = random.Random(41)
     for _ in range(20):
         g = gnp(rng.randint(1, 120), rng.uniform(0.01, 0.15), rng.randrange(10**6))
-        trace = []
-        solve(g, _cfg(algorithm="hedom5"), trace=trace)
-        sizes = {t.stage: t.size for t in trace}
-        assert set(sizes) == {"reductions", "greedy", "prune", "swap", "patch"}
-        assert sizes["prune"] <= sizes["greedy"]
-        assert sizes["swap"] <= sizes["prune"]
-        assert sizes["patch"] == sizes["swap"]  # the patch never fires on a healthy run
+        for algo, stages in STAGES.items():
+            trace = []
+            solve(g, _cfg(algorithm=algo, anneal=AnnealConfig(max_epochs=5)), trace=trace)
+            assert [t.stage for t in trace] == stages
+            # From greedy on, every stage keeps or shrinks the set.
+            sizes = [t.size for t in trace][stages.index("greedy"):]
+            assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+            assert sizes[-1] == sizes[-2]  # the patch never fires on a healthy run
+            assert all(a.ms <= b.ms for a, b in zip(trace, trace[1:]))
 
 
 def test_hedom5_deterministic():
@@ -79,8 +88,12 @@ def test_preset_stop_token_still_yields_valid_output():
     stop = threading.Event()
     stop.set()
     for algo in ("hedom5", "greedy", "sa"):
-        sol = solve(g, _cfg(algorithm=algo), stop=stop)
+        trace = []
+        sol = solve(g, _cfg(algorithm=algo), trace=trace, stop=stop)
         assert verify(g, sol).valid
+        # A preset stop skips the improvement stage of every algorithm.
+        expected = ["reductions", "greedy", "patch"] if algo == "hedom5" else ["greedy", "patch"]
+        assert [t.stage for t in trace] == expected
 
 
 def test_preset_stop_returns_quickly_at_20k_vertices():
