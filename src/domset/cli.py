@@ -1,7 +1,8 @@
 """Command-line interface: solve / verify / oracle / gen / bench.
 
 Exit codes: 0 success, 1 invalid solution (verify), 2 usage error,
-3 unreadable or malformed input.
+3 unreadable or malformed input, 4 internal error (any other exception,
+such as MemoryError).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _read_input(path: str | None) -> bytes:
@@ -214,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

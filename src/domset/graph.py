@@ -51,7 +51,8 @@ class Graph:
         """Build a graph from 0-indexed undirected edge pairs.
 
         Self-loops are ignored and duplicate edges (in either orientation)
-        are collapsed; ``m`` reflects the cleaned edge count.
+        are collapsed; ``m`` reflects the cleaned edge count. ``edges`` may
+        also be a ``(k, 2)`` integer array, as the bulk parser passes.
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
@@ -65,9 +66,15 @@ class Graph:
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         if pairs.shape[0] == 0:
             return cls(n=n, m=0, degree=[0] * n, off=[0] * (n + 1), nbr=[])
-        # Encoding u*n+v for both orientations makes np.unique do the
-        # dedup and leaves the neighbor array grouped by head, sorted.
-        enc = np.unique(np.concatenate((pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0])))
+        # Encoding u*n+v for both orientations and sorting groups the
+        # neighbor array by head, ascending; dropping each code equal to its
+        # predecessor removes duplicate edges.
+        enc = np.concatenate((pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]))
+        enc.sort()
+        fresh = np.empty(len(enc), dtype=bool)
+        fresh[0] = True
+        np.not_equal(enc[1:], enc[:-1], out=fresh[1:])
+        enc = enc[fresh]
         degree = np.bincount(enc // n, minlength=n)
         off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degree, out=off[1:])
@@ -137,13 +144,102 @@ class Solution:
         return f"Solution(size={len(self.members)}, n={len(self.in_set)})"
 
 
+MAX_VERTICES = 2**31 - 1
+"""Largest vertex count a .ds header may declare; a larger one is a ParseError."""
+
+# A plainly well-formed edge section holds these bytes only; a line before
+# it (comment or header) qualifies for the bulk path with printable ASCII
+# and tabs, where bytes and text split and strip alike.
+_EDGE_BYTES = b"0123456789 \n"
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t"
+# Longer tokens (leading zeros) are read line by line, so no int64 overflows.
+_MAX_TOKEN = 18
+
+
 def parse_ds(data: bytes | str) -> Graph:
     """Parse a .ds instance: 'c' comment lines, one 'p ds <n> <m>' header,
     then <m> whitespace-separated edge lines with 1-indexed endpoints.
 
     Comments and blank lines are tolerated anywhere; any deviation from the
-    grammar raises :class:`ParseError` naming the offending line.
+    grammar, or ``n`` above :data:`MAX_VERTICES`, raises :class:`ParseError`
+    naming the offending line. An edge section of ASCII digits, spaces and
+    newlines only, with two in-range IDs on every non-blank line, is read in
+    bulk with numpy; any other input is read line by line, which accepts and
+    rejects exactly the same inputs, so every error still names its line.
     """
+    g = _parse_ds_bulk(data)
+    return g if g is not None else _parse_ds_lines(data)
+
+
+def _read_header(parts: list[str], lineno: int) -> tuple[int, int]:
+    """``(n, m)`` from the split header line."""
+    if len(parts) != 4 or parts[0] != "p" or parts[1] != "ds":
+        raise ParseError(lineno, "expected header 'p ds <n> <m>'")
+    try:
+        n = int(parts[2])
+        declared_m = int(parts[3])
+    except ValueError:
+        raise ParseError(lineno, "non-numeric header field") from None
+    if n < 1:
+        raise ParseError(lineno, f"vertex count must be at least 1, got {n}")
+    if n > MAX_VERTICES:
+        raise ParseError(lineno, f"vertex count {n} exceeds the maximum {MAX_VERTICES}")
+    if declared_m < 0:
+        raise ParseError(lineno, f"edge count must be non-negative, got {declared_m}")
+    return n, declared_m
+
+
+def _parse_ds_bulk(data: bytes | str) -> Graph | None:
+    """The graph of a plainly well-formed instance, or None for any input
+    the per-line parser must judge."""
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    elif not isinstance(data, bytes):
+        return None
+    start = 0
+    while True:
+        if start > len(data):
+            return None
+        end = data.find(b"\n", start)
+        if end < 0:
+            end = len(data)
+        line = data[start:end]
+        start = end + 1
+        if line.translate(None, _PLAIN_BYTES):
+            return None
+        parts = line.decode("ascii").split()
+        if parts and parts[0][0] != "c":
+            break
+    try:
+        n, declared_m = _read_header(parts, 0)
+    except ParseError:
+        return None
+    body = data[start:]
+    if body.translate(None, _EDGE_BYTES):
+        return None
+    if declared_m == 0:
+        return Graph.from_edges(n, []) if not body.strip() else None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    # Token i spans bounds[2i]:bounds[2i + 1]; only digits lie above b" ".
+    bounds = np.flatnonzero(np.diff(raw > 32, prepend=False, append=False))
+    starts = bounds[0::2]
+    if len(starts) != 2 * declared_m or int((bounds[1::2] - starts).max()) > _MAX_TOKEN:
+        return None
+    # An edge's two tokens share a line; the next edge starts on a later one.
+    line_of = np.searchsorted(np.flatnonzero(raw == 10), starts)
+    if np.any(line_of[0::2] != line_of[1::2]) or np.any(line_of[2::2] == line_of[1:-1:2]):
+        return None
+    ids = np.fromstring(body, dtype=np.int64, sep=" ")
+    if len(ids) != len(starts) or int(ids.min()) < 1 or int(ids.max()) > n:
+        return None
+    ids -= 1
+    return Graph.from_edges(n, ids.reshape(-1, 2))
+
+
+def _parse_ds_lines(data: bytes | str) -> Graph:
+    """The per-line reference parser behind :func:`parse_ds`."""
     if isinstance(data, (bytes, bytearray)):
         try:
             text = data.decode("utf-8")
@@ -160,17 +256,7 @@ def parse_ds(data: bytes | str) -> Graph:
             continue
         parts = line.split()
         if n < 0:
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "ds":
-                raise ParseError(lineno, "expected header 'p ds <n> <m>'")
-            try:
-                n = int(parts[2])
-                declared_m = int(parts[3])
-            except ValueError:
-                raise ParseError(lineno, "non-numeric header field") from None
-            if n < 1:
-                raise ParseError(lineno, f"vertex count must be at least 1, got {n}")
-            if declared_m < 0:
-                raise ParseError(lineno, f"edge count must be non-negative, got {declared_m}")
+            n, declared_m = _read_header(parts, lineno)
             continue
         if len(edges) >= declared_m:
             raise ParseError(lineno, f"more edge lines than the declared {declared_m}")

@@ -1,6 +1,7 @@
 """Gain-based greedy construction: the lazy priority-queue variant used by
 the pipeline, the plain greedy-ln baseline, and an eager reference used to
-cross-check the lazy one.
+cross-check the lazy one. The lazy variant keeps every gain exact;
+:func:`true_gain` recounts one from the cover counts.
 """
 
 from __future__ import annotations
@@ -29,42 +30,52 @@ def lazy_greedy(cover: Cover, budget: Budget | None = None) -> None:
     """Extend the solution until every vertex is dominated, or until
     ``budget`` expires (polled before every heap pop).
 
-    The queue is keyed by (gain, vertex) with degree+1 as the initial upper
-    bound; a popped entry whose recomputed gain fell below its key is pushed
-    back corrected. Gains only ever decrease, so an accepted vertex has the
-    maximum true gain, ties broken toward the smaller vertex ID. Entries for
-    vertices already chosen or with zero gain are dropped outright.
+    ``gain[v]`` is kept exact: it starts as the number of undominated
+    vertices in N[v] under ``cover.counts`` (so reductions and partial sets
+    handed in are respected), and when a pick dominates ``x`` for the first
+    time, every gain over N[x] drops by one, n + 2m updates in all. The
+    queue holds one int key ``-gain * n + v`` per vertex, which orders it by
+    gain, largest first, then by vertex ID; a popped key above the current
+    gain is pushed back corrected, or dropped once the gain is zero, as it
+    is for every member. Gains only ever decrease, so an accepted vertex
+    has the maximum gain, ties broken toward the smaller vertex ID.
     """
     if cover.uncovered == 0:
         return
-    degree = cover.g.degree
-    heap = [(-(degree[v] + 1), v) for v in range(cover.g.n)]
+    g = cover.g
+    n = g.n
+    off = g.off
+    nbr = g.nbr
+    counts = cover.counts
+    gain = [d + 1 for d in g.degree]
+    for x in range(n):
+        if counts[x]:
+            gain[x] -= 1
+            for y in nbr[off[x] : off[x + 1]]:
+                gain[y] -= 1
+    heap = [-gv * n + v for v, gv in enumerate(gain) if gv]
     heapq.heapify(heap)
     pop = heapq.heappop
     push = heapq.heappush
-    in_set = cover.in_set
-    counts = cover.counts
-    cursor = 0
+    # An undominated vertex keeps a positive gain and so its entry: the
+    # heap cannot run dry while a vertex is undominated.
     while cover.uncovered > 0:
         if budget is not None and budget.expired():
             return
-        if not heap:
-            # Unreachable with the drop rule above (an undominated vertex
-            # always retains a positive-gain entry), kept as a safety net.
-            while counts[cursor]:
-                cursor += 1
-            add_to_d(cover, cursor)
-            continue
-        negkey, v = pop(heap)
-        if in_set[v]:
-            continue
-        gain = true_gain(cover, v)
-        if gain == 0:
-            continue
-        if gain < -negkey:
-            push(heap, (-gain, v))
+        key = pop(heap)
+        v = key % n
+        gv = gain[v]
+        if gv < -(key // n):
+            if gv:
+                push(heap, -gv * n + v)
             continue
         add_to_d(cover, v)
+        # The vertices v dominates for the first time are counted once now.
+        for x in (v, *nbr[off[v] : off[v + 1]]):
+            if counts[x] == 1:
+                gain[x] -= 1
+                for y in nbr[off[x] : off[x + 1]]:
+                    gain[y] -= 1
 
 
 def greedy_ln(g: Graph, budget: Budget | None = None) -> Solution:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from domset import Graph
+import random
+
+from domset import Graph, Solution, generate_instance, gnp
 
 
 def path_graph(k: int) -> Graph:
@@ -24,3 +26,43 @@ def complete_graph(k: int) -> Graph:
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
     return [set(g.neighbors(v)) for v in range(g.n)]
+
+
+def random_instance(rng: random.Random, kind: int) -> Graph:
+    """A random graph of at most 300 vertices: gnp (kind 0), tree (1),
+    star forest (2) or grid (3)."""
+    n = rng.randint(1, 300)
+    if kind == 0:
+        return gnp(n, min(1.0, rng.uniform(0.0, 8.0) / max(1, n - 1)), rng.randrange(10**6))
+    if kind == 1:
+        return generate_instance("tree", rng.randrange(10**6), n=n)[0]
+    if kind == 2:
+        return generate_instance("star-forest", rng.randrange(10**6), n=n, max_star=rng.randint(1, 8))[0]
+    rows = rng.randint(1, 17)
+    return generate_instance("grid", rng.randrange(10**6), rows=rows, cols=rng.randint(1, 17))[0]
+
+
+def random_partial_set(rng: random.Random, g: Graph) -> Solution:
+    """Each vertex joins with one rate drawn per vertex from 0, 5% and 20%."""
+    sol = Solution(g.n)
+    for v in range(g.n):
+        if rng.random() < rng.choice((0.0, 0.05, 0.2)):
+            sol.add(v)
+    return sol
+
+
+def eager_continuation(g: Graph, sol: Solution) -> list[int]:
+    """The greedy rule written out directly from ``sol``: while anything is
+    uncovered, add the vertex covering the most uncovered vertices, smallest
+    ID on ties. Returns the added vertices in order."""
+    covered = [False] * g.n
+    for d in sol.members:
+        for x in g.closed_neighborhood(d):
+            covered[x] = True
+    added = []
+    while not all(covered):
+        best = max(range(g.n), key=lambda v: (sum(not covered[x] for x in g.closed_neighborhood(v)), -v))
+        added.append(best)
+        for x in g.closed_neighborhood(best):
+            covered[x] = True
+    return added

@@ -1,6 +1,7 @@
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 from domset import parse_ds
 from domset.cli import main
@@ -134,6 +135,33 @@ def test_parse_error_exits_3_with_line_number(tmp_path, capsys):
     inst.write_text("p ds 3 1\n1 9\n")
     assert run_cli("solve", str(inst)) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+def test_absurd_vertex_count_exits_3_without_allocating(tmp_path, capsys):
+    inst = tmp_path / "huge.ds"
+    inst.write_text("p ds 100000000000 0\n")
+    tracemalloc.start()
+    try:
+        code = run_cli("solve", str(inst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "line 1" in capsys.readouterr().err
+    assert peak < 4_000_000
+
+
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("domset.cli.solve", out_of_memory)
+    inst = tmp_path / "star.ds"
+    inst.write_text(STAR5)
+    assert run_cli("solve", str(inst)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: MemoryError: "]
 
 
 def test_solve_deterministic_across_processes(tmp_path):

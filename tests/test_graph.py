@@ -60,6 +60,8 @@ def test_parse_is_deterministic():
         ("p ds 3 1\n1 2\n2 3\n", 3),
         ("p ds 3 2\n1 2 3\n2 3\n", 2),
         ("1 2\n", 1),
+        ("p ds 2147483648 0\n", 1),
+        ("c comment\r\np ds 100000000000 0\r\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -164,3 +166,103 @@ def test_solution_add():
     assert not sol.add(2)
     assert sol.add(0)
     assert sol.members == [2, 0]
+
+
+def _fuzz_bases() -> list[bytes]:
+    """Small instances in the shapes a .ds file takes: plain, commented,
+    with blank lines, CRLF line ends and no final newline."""
+    rng = random.Random(77)
+    bases = []
+    for n, count in ((6, 5), (12, 14), (30, 40)):
+        edges = [f"{rng.randint(1, n)} {rng.randint(1, n)}" for _ in range(count)]
+        plain = "\n".join([f"p ds {n} {count}", *edges]) + "\n"
+        commented = f"c generated\n\np ds {n} {count}\n"
+        commented += "".join(f"{e}\n" + ("c between\n" if i % 4 == 1 else "\n" if i % 5 == 2 else "") for i, e in enumerate(edges))
+        bases += [plain.encode(), commented.encode(), plain.replace("\n", "\r\n").encode(), plain.rstrip("\n").encode()]
+    return bases
+
+
+_INJECTIONS = [b"\r", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x85", b"+", b"-", b"_", "٣".encode(), b"\xff", b"\n", b" ", b"c", b"0",
+               b"9876543210987654321098765", b"0" * 23, b"0000000000000000000000012", b" 7", b"\n3 4", b"\n\n", b"c note\n", b"\t "]
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    buf = bytearray(data)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        op = rng.randrange(6)
+        at = rng.randint(0, len(buf))
+        if rng.random() < 0.5:
+            # Edits at a token or line boundary keep far more inputs valid.
+            at = buf.find(rng.choice((b" ", b"\n")), at) + 1
+        if op == 0 and buf:
+            buf[min(at, len(buf) - 1)] = rng.randrange(256)
+        elif op == 1:
+            buf[at:at] = bytes([rng.randrange(256)])
+        elif op == 2:
+            del buf[at : at + rng.randint(1, 3)]
+        elif op == 3:
+            buf[at:at] = rng.choice(_INJECTIONS)
+        elif op == 4:
+            # Drop one token: the digit run that starts after a space.
+            space = buf.find(b" ", at)
+            if space >= 0:
+                end = space + 1
+                while end < len(buf) and chr(buf[end]).isdigit():
+                    end += 1
+                del buf[space:end]
+        else:
+            del buf[at:]
+    return bytes(buf)
+
+
+def _rewrite(rng: random.Random, data: bytes) -> bytes:
+    """Respell a valid instance in ways the grammar allows: runs of spaces
+    and tabs, leading zeros and '+', blank and comment lines, CRLF."""
+    rate = rng.choice((0.02, 0.1, 0.3))
+    out = bytearray()
+    for i, byte in enumerate(data):
+        ch = bytes([byte])
+        if ch == b" " and rng.random() < rate:
+            ch = rng.choice((b"  ", b"\t", b" \t ", b" " * 5))
+        elif ch == b"\n" and rng.random() < rate:
+            ch = rng.choice((b"\n\n", b"\n  \n", b"\r\n", b"\nc x\n", b" \n"))
+        elif ch.isdigit() and not data[i - 1 : i].isdigit() and rng.random() < rate:
+            ch = rng.choice((b"0", b"00", b"0" * 20, b"+")) + ch
+        out += ch
+    return bytes(out)
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except ParseError as exc:
+        return (exc.line, str(exc))
+
+
+def test_parse_ds_matches_line_parser_under_mutation():
+    """parse_ds and the per-line reference accept the same inputs, build
+    equal graphs and reject with the same line and message; nothing but
+    ParseError escapes either."""
+    from domset.graph import _parse_ds_bulk, _parse_ds_lines
+
+    rng = random.Random(2024)
+    bases = _fuzz_bases()
+    outcomes = {"graph": 0, "error": 0, "bulk": 0}
+    for i in range(6000):
+        data = rng.choice(bases)
+        if rng.random() < 0.5:
+            data = _rewrite(rng, data)
+        if rng.random() < 0.6:
+            data = _mutate(rng, data)
+        if i % 3 == 0:
+            try:
+                data = data.decode("utf-8")
+            except UnicodeDecodeError:
+                pass
+        expected = _outcome(_parse_ds_lines, data)
+        assert _outcome(parse_ds, data) == expected, data
+        outcomes["graph" if isinstance(expected, Graph) else "error"] += 1
+        outcomes["bulk"] += _parse_ds_bulk(data) is not None
+    # Acceptance, rejection and the bulk path must each be well represented
+    # for the comparison to mean anything.
+    assert min(outcomes.values()) > 500, outcomes

@@ -4,6 +4,8 @@ import random
 from domset import (
     Graph,
     add_to_d,
+    apply_isolate_rule,
+    apply_leaf_rule,
     brute_force_optimum,
     compute_cover_counts,
     gnp,
@@ -14,7 +16,7 @@ from domset import (
 )
 from domset.greedy import eager_greedy
 
-from conftest import path_graph, star_graph
+from conftest import eager_continuation, path_graph, random_instance, random_partial_set, star_graph
 
 
 def test_true_gain_fresh_star_center():
@@ -100,3 +102,22 @@ def test_greedy_respects_ln_bound():
         gamma, _ = brute_force_optimum(g)
         bound = (math.log(g.max_degree() + 1) + 1) * gamma
         assert len(greedy_ln(g)) <= bound
+
+
+def test_lazy_greedy_continues_any_partial_set_eagerly():
+    """From the states reductions and safety_patch hand in (a random partial
+    set, the reduced set), lazy_greedy appends exactly the eager max-gain,
+    smallest-ID continuation."""
+    rng = random.Random(6061)
+    for i in range(160):
+        g = random_instance(rng, i % 4)
+        reduced = compute_cover_counts(g)
+        apply_isolate_rule(reduced)
+        apply_leaf_rule(reduced)
+        for cover in (compute_cover_counts(g, random_partial_set(rng, g)), reduced):
+            before = list(cover.members)
+            expected = eager_continuation(g, cover.solution)
+            lazy_greedy(cover)
+            assert cover.members == before + expected
+            assert cover.uncovered == 0
+            assert verify(g, cover.solution).valid

@@ -18,7 +18,7 @@ from domset import (
 )
 from domset.swaps import SwapMove
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import cycle_graph, eager_continuation, path_graph, random_instance, random_partial_set, star_graph
 
 
 def test_swap_budget_validation():
@@ -216,42 +216,13 @@ def test_safety_patch_always_terminates_valid():
         assert verify(g, sol).valid
 
 
-def _reference_patch(g: Graph, sol: Solution) -> list[int]:
-    """The patch rule written out directly: while anything is uncovered, add
-    the vertex covering the most uncovered vertices, smallest ID on ties."""
-    covered = [False] * g.n
-    for d in sol.members:
-        for x in g.closed_neighborhood(d):
-            covered[x] = True
-    added = []
-    while not all(covered):
-        best = max(range(g.n), key=lambda v: (sum(not covered[x] for x in g.closed_neighborhood(v)), -v))
-        added.append(best)
-        for x in g.closed_neighborhood(best):
-            covered[x] = True
-    return added
-
-
 def test_safety_patch_matches_reference_rule():
     rng = random.Random(1105)
     for i in range(120):
-        kind = i % 4
-        n = rng.randint(1, 300)
-        if kind == 0:
-            g = gnp(n, min(1.0, rng.uniform(0.0, 8.0) / max(1, n - 1)), rng.randrange(10**6))
-        elif kind == 1:
-            g = generate_instance("tree", rng.randrange(10**6), n=n)[0]
-        elif kind == 2:
-            g = generate_instance("star-forest", rng.randrange(10**6), n=n, max_star=rng.randint(1, 8))[0]
-        else:
-            rows = rng.randint(1, 17)
-            g = generate_instance("grid", rng.randrange(10**6), rows=rows, cols=rng.randint(1, 17))[0]
-        sol = Solution(g.n)
-        for v in range(g.n):
-            if rng.random() < rng.choice((0.0, 0.05, 0.2)):
-                sol.add(v)
+        g = random_instance(rng, i % 4)
+        sol = random_partial_set(rng, g)
         before = list(sol.members)
-        expected = _reference_patch(g, sol)
+        expected = eager_continuation(g, sol)
         assert safety_patch(g, sol) == len(expected)
         assert sol.members == before + expected
         assert verify(g, sol).valid
