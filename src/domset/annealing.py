@@ -4,6 +4,12 @@ Moves are vertex removals (always accepted), size-neutral exchanges
 (always accepted), and additions (accepted with probability exp(-1/T));
 every accepted state keeps full domination, and the best state seen is
 what comes back.
+
+Every random index is drawn inline as ``getrandbits(k.bit_length())``,
+redrawn while it is ``>= k``. That is the whole of ``Random.randrange(k)``
+for an int ``k > 0`` on CPython 3.10 to 3.13 (``_randbelow_with_getrandbits``),
+so the moves, and the set that comes back, are the ones the
+``randrange`` calls gave, without its two Python-level frames per draw.
 """
 
 from __future__ import annotations
@@ -66,11 +72,12 @@ def sa_solve(
     """Anneal from a feasible seed solution; returns the smallest dominating
     set seen.
 
-    ``seed`` seeds the move rng. ``budget`` is polled before every epoch and
-    every 256 moves. Raises ValueError if the seed solution does not
-    dominate. ``validate_each_move`` re-verifies feasibility after every
-    accepted move (tests only; the normal path relies on the incremental
-    cover counts).
+    ``seed`` seeds the move rng; the draws consume it exactly as
+    ``randrange`` would (see the module docstring). ``budget`` is polled
+    before every epoch and every 256 moves. Raises ValueError if the seed
+    solution does not dominate. ``validate_each_move`` re-verifies
+    feasibility before every move (tests only; the normal path relies on
+    the incremental cover counts and checks them once per epoch).
     """
     report = verify(g, seed_solution)
     if not report.valid:
@@ -84,63 +91,89 @@ def sa_solve(
     # drives the random picks.
     cur = cover.members
     in_set = cover.in_set
+    counts = cover.counts
     best = list(cur)
     off = g.off
     nbr = g.nbr
+    # Built once per run, so a scan costs no slice. Tuples, not lists: the
+    # garbage collector stops tracking a tuple of ints after one pass, so
+    # its later passes during the run skip them.
+    adj = [tuple(nbr[off[v] : off[v + 1]]) for v in range(n)]
+    # mark[x] == tick: x lies in N[put] of the exchange being tested.
+    mark = [0] * n
+    tick = 0
     rng = random.Random(seed)
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    n_bits = n.bit_length()
     moves_per_epoch = cfg.moves_per_epoch if cfg.moves_per_epoch is not None else max(100, n)
     temperature = cfg.initial_temperature
 
-    def feasible() -> bool:
-        return all(c >= 1 for c in cover.counts)
-
     epoch = 0
     while epoch < cfg.max_epochs and not (budget is not None and budget.expired()):
+        accept = math.exp(-1.0 / temperature)
         for step in range(moves_per_epoch):
+            if validate_each_move:
+                assert 0 not in counts, "annealing move broke domination"
             if budget is not None and (step & 255) == 0 and budget.expired():
                 break
-            out = put = -1
-            r = rng.random()
-            if r < _P_REMOVAL:
-                out = cur[rng.randrange(len(cur))]
-                if not cover.is_redundant(out):
+            r = rand()
+            if r < _P_EXCHANGE:
+                k = len(cur)
+                bits = k.bit_length()
+                i = getrandbits(bits)
+                while i >= k:
+                    i = getrandbits(bits)
+                out = cur[i]
+                nb = adj[out]
+                if r < _P_REMOVAL:
+                    # Dropping out must leave all of N[out] dominated.
+                    if counts[out] < 2:
+                        continue
+                    for x in nb:
+                        if counts[x] < 2:
+                            break
+                    else:
+                        cover.drop(out)
+                        if len(cur) < len(best):
+                            best = list(cur)
                     continue
-            elif r < _P_EXCHANGE:
-                out = cur[rng.randrange(len(cur))]
-                cands = [t for t in nbr[off[out] : off[out + 1]] if not in_set[t]]
+                cands = [t for t in nb if not in_set[t]]
                 if not cands:
                     continue
-                put = cands[rng.randrange(len(cands))]
-                unique = cover.unique_of(out)
-                if unique:
-                    uset = set(unique)
-                    hits = 1 if put in uset else 0
-                    for y in nbr[off[put] : off[put + 1]]:
-                        if y in uset:
-                            hits += 1
-                    if hits != len(uset):
-                        continue
-            else:
-                if len(cur) == n:
-                    continue
-                for _ in range(8):
-                    c = rng.randrange(n)
-                    if not in_set[c]:
-                        put = c
+                k = len(cands)
+                bits = k.bit_length()
+                i = getrandbits(bits)
+                while i >= k:
+                    i = getrandbits(bits)
+                put = cands[i]
+                # put must dominate every vertex that only out dominates;
+                # out itself is a neighbor of put.
+                tick += 1
+                mark[put] = tick
+                for y in adj[put]:
+                    mark[y] = tick
+                for x in nb:
+                    if counts[x] == 1 and mark[x] != tick:
                         break
-                if put < 0:
-                    continue
-                if rng.random() >= math.exp(-1.0 / temperature):
-                    continue
-            if out >= 0:
-                cover.drop(out)
-            if put >= 0:
+                else:
+                    cover.drop(out)
+                    cover.add(put)
+                continue
+            # Addition: up to 8 draws for a non-member.
+            if len(cur) == n:
+                continue
+            for _ in range(8):
+                put = getrandbits(n_bits)
+                while put >= n:
+                    put = getrandbits(n_bits)
+                if not in_set[put]:
+                    break
+            else:
+                continue
+            if rand() < accept:
                 cover.add(put)
-            if validate_each_move:
-                assert feasible(), "annealing move broke domination"
-            if len(cur) < len(best):
-                best = list(cur)
-        if not feasible():
+        if 0 in counts:
             raise RuntimeError("internal error: annealing state lost domination")
         temperature = decay(temperature, cfg)
         epoch += 1

@@ -30,14 +30,21 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
+# Entries of the neighbor array converted to Python ints per step.
+_NBR_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected graph in compressed sparse row form.
 
     ``nbr[off[v]:off[v + 1]]`` lists the neighbors of ``v`` in ascending
     order, with self-loops dropped and duplicate edges collapsed. The
-    structure is never mutated after construction, so it can be shared
-    freely between concurrent solver runs.
+    entries of ``nbr`` are interned: all 2m of them are drawn from n shared
+    int objects, one per vertex ID, which keeps a large graph's neighbor
+    list near 8 bytes per entry. The structure is never mutated after
+    construction, so it can be shared freely between concurrent solver
+    runs.
     """
 
     n: int
@@ -52,7 +59,9 @@ class Graph:
 
         Self-loops are ignored and duplicate edges (in either orientation)
         are collapsed; ``m`` reflects the cleaned edge count. ``edges`` may
-        also be a ``(k, 2)`` integer array, as the bulk parser passes.
+        also be a ``(k, 2)`` integer array, as the bulk parser passes. The
+        neighbor IDs are interned (see :class:`Graph`), converted to Python
+        ints in chunks of 64k entries.
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
@@ -78,7 +87,15 @@ class Graph:
         degree = np.bincount(enc // n, minlength=n)
         off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degree, out=off[1:])
-        return cls(n=n, m=len(enc) // 2, degree=degree.tolist(), off=off.tolist(), nbr=(enc % n).tolist())
+        # Gathering from an object array of the n IDs makes every entry of
+        # nbr one of n shared ints instead of one of 2m fresh ones; chunks
+        # bound the gathered temporary.
+        ids = np.arange(n).astype(object)
+        col = enc % n
+        nbr = [0] * len(col)
+        for start in range(0, len(col), _NBR_CHUNK):
+            nbr[start : start + _NBR_CHUNK] = ids[col[start : start + _NBR_CHUNK]].tolist()
+        return cls(n=n, m=len(enc) // 2, degree=degree.tolist(), off=off.tolist(), nbr=nbr)
 
     def neighbors(self, v: int) -> list[int]:
         """Open neighborhood of ``v`` as a fresh list."""

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 
-from domset import Graph, Solution, generate_instance, gnp
+from domset import AnnealConfig, Graph, Solution, compute_cover_counts, decay, generate_instance, gnp
 
 
 def path_graph(k: int) -> Graph:
@@ -66,3 +67,60 @@ def eager_continuation(g: Graph, sol: Solution) -> list[int]:
         for x in g.closed_neighborhood(best):
             covered[x] = True
     return added
+
+
+def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int) -> list[int]:
+    """The annealing loop written plainly, with ``rng.randrange`` draws,
+    ``Cover.is_redundant`` and ``Cover.unique_of`` plus a set: removal,
+    exchange and addition proposals in the mix 0.4 : 0.4 : 0.2. Returns the
+    best members in the order ``sa_solve`` must give them."""
+    cover = compute_cover_counts(g, seed_solution.copy())
+    cur = cover.members
+    in_set = cover.in_set
+    best = list(cur)
+    rng = random.Random(seed)
+    n = g.n
+    temperature = cfg.initial_temperature
+    for _ in range(cfg.max_epochs):
+        for _ in range(cfg.moves_per_epoch if cfg.moves_per_epoch is not None else max(100, n)):
+            out = put = -1
+            r = rng.random()
+            if r < 0.4:
+                out = cur[rng.randrange(len(cur))]
+                if not cover.is_redundant(out):
+                    continue
+            elif r < 0.8:
+                out = cur[rng.randrange(len(cur))]
+                cands = [t for t in g.neighbors(out) if not in_set[t]]
+                if not cands:
+                    continue
+                put = cands[rng.randrange(len(cands))]
+                unique = cover.unique_of(out)
+                if unique:
+                    uset = set(unique)
+                    hits = 1 if put in uset else 0
+                    for y in g.neighbors(put):
+                        if y in uset:
+                            hits += 1
+                    if hits != len(uset):
+                        continue
+            else:
+                if len(cur) == n:
+                    continue
+                for _ in range(8):
+                    c = rng.randrange(n)
+                    if not in_set[c]:
+                        put = c
+                        break
+                if put < 0:
+                    continue
+                if rng.random() >= math.exp(-1.0 / temperature):
+                    continue
+            if out >= 0:
+                cover.drop(out)
+            if put >= 0:
+                cover.add(put)
+            if len(cur) < len(best):
+                best = list(cur)
+        temperature = decay(temperature, cfg)
+    return best

@@ -15,7 +15,7 @@ from domset import (
 )
 from domset.annealing import TEMPERATURE_FLOOR
 
-from conftest import path_graph, star_graph
+from conftest import path_graph, random_instance, reference_sa, star_graph
 
 
 def test_decay_single_step():
@@ -92,3 +92,25 @@ def test_sa_reproducible_with_fixed_seed():
     first = sa_solve(g, seed, cfg, seed=42)
     second = sa_solve(g, seed, cfg, seed=42)
     assert first.members == second.members
+
+
+def test_sa_matches_reference_loop():
+    # Inline draws, per-run neighbor tuples, tick marks and the per-epoch
+    # threshold must leave every move as the plain loop makes it. Seeds
+    # from greedy and from the whole vertex set, temperatures where
+    # additions are common and rare, and epoch lengths below and off
+    # multiples of the 256-move budget poll.
+    rng = random.Random(2026)
+    for case in range(160):
+        g = random_instance(rng, case % 4)
+        seed_solution = greedy_ln(g) if rng.random() < 0.7 else Solution.from_members(g.n, range(g.n))
+        cfg = AnnealConfig(
+            initial_temperature=rng.choice((1.0, 0.3, 0.1)),
+            cooling_factor=rng.choice((0.995, 0.9, 0.5)),
+            moves_per_epoch=rng.choice((None, rng.randint(1, 255), 256 * rng.randint(1, 3) + rng.randint(1, 255))),
+            max_epochs=rng.randint(0, 15),
+        )
+        seed = rng.randrange(10**6)
+        budget = Budget() if case % 2 else None
+        out = sa_solve(g, seed_solution, cfg, seed=seed, budget=budget)
+        assert out.members == reference_sa(g, seed_solution, cfg, seed), (case, cfg)

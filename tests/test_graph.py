@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from domset import Graph, ParseError, Solution, parse_ds, parse_solution, write_solution
+from domset import Graph, ParseError, Solution, gnp, parse_ds, parse_solution, to_ds, write_solution
 
 from conftest import adjacency_sets, path_graph, star_graph
 
@@ -103,6 +103,27 @@ def test_csr_invariants_on_random_edge_lists():
             assert v not in slice_
             assert len(slice_) == len(set(slice_))
             assert slice_ == sorted(slice_)
+
+
+def test_parse_interns_neighbor_ids():
+    # Both parse paths give the neighbor lists written out from the edge
+    # lines, as plain ints, and the 2m entries share at most n objects.
+    from domset.graph import _parse_ds_bulk
+
+    text = to_ds(gnp(2000, 10 / 1999, seed=7))
+    n = 2000
+    adj = [set() for _ in range(n)]
+    for line in text.splitlines()[1:]:
+        u, v = (int(t) - 1 for t in line.split())
+        adj[u].add(v)
+        adj[v].add(u)
+    expected = [w for v in range(n) for w in sorted(adj[v])]
+    crlf = "c per-line path\r\n" + text.replace("\n", "\r\n")
+    assert _parse_ds_bulk(text) is not None and _parse_ds_bulk(crlf) is None
+    for g in (parse_ds(text), parse_ds(crlf)):
+        assert g.nbr == expected
+        assert all(type(x) is int for x in g.nbr)
+        assert len({id(x) for x in g.nbr}) <= g.n < len(g.nbr)
 
 
 def test_from_edges_rejects_bad_endpoints():

@@ -109,11 +109,15 @@ def test_preset_stop_returns_quickly_at_20k_vertices():
         assert elapsed < 5.0, (algo, elapsed)
 
 
-# A measured wall-clock hedom5 trace of this instance (2-core host): greedy
+# Measured wall-clock traces of this instance (2-core host): hedom5's greedy
 # ends at 0.31-0.37 s, prune 5 ms later, and the swap phase then runs until
-# the 9.5 s deadline. So a stop at 20 ms lands in greedy and one at 1.5 s,
-# four times greedy's end, lands in the swap phase.
-@pytest.mark.parametrize("delay, stage", [(0.02, "greedy"), (1.5, "swap")])
+# the 9.5 s deadline; sa's greedy ends at 0.13-0.14 s and annealing then
+# runs until the deadline. So a stop at 20 ms lands in greedy and one at
+# 1.5 s, four times hedom5's greedy end, lands in the swap phase or in
+# annealing.
+# An annealing epoch of 4M moves takes longer than the 5 s bound, so only
+# the budget poll every 256 moves can meet it.
+@pytest.mark.parametrize("delay, stage", [(0.02, "greedy"), (1.5, "swap"), (1.5, "anneal")])
 def test_stop_during_a_running_solve_returns_within_5s(delay, stage):
     g = gnp(20_000, 10 / 19_999, seed=20)
     stop = threading.Event()
@@ -124,19 +128,22 @@ def test_stop_during_a_running_solve_returns_within_5s(delay, stage):
         stop.set()
 
     trace = []
+    algorithm = "sa" if stage == "anneal" else "hedom5"
+    cfg = SolverConfig(algorithm=algorithm, attempt_cap=10_000, seed=3, anneal=AnnealConfig(moves_per_epoch=4_000_000))
     timer = threading.Timer(delay, fire)
     timer.start()
     try:
-        sol = solve(g, SolverConfig(algorithm="hedom5", attempt_cap=10_000, seed=3), trace=trace, stop=stop)
+        sol = solve(g, cfg, trace=trace, stop=stop)
         done = time.perf_counter()
     finally:
         timer.cancel()
     assert fired, "the solve ended before the stop fired"
     assert verify(g, sol).valid
     assert done - fired[0] < 5.0, done - fired[0]
-    # A stop during greedy skips prune and swap; a later one ends the swap phase.
+    # The stop ends the stage it lands in, and the patch follows at once: a
+    # stop during greedy skips prune and swap.
     stages = [t.stage for t in trace]
-    assert ("swap" in stages) == (stage == "swap"), stages
+    assert stages[-2:] == [stage, "patch"], stages
 
 
 def test_default_anneal_config_runs_attempt_counted():
