@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .graph import Graph, Solution
 from .state import Budget, compute_cover_counts
-from .verification import verify
 
 __all__ = ["AnnealConfig", "decay", "sa_solve", "TEMPERATURE_FLOOR"]
 
@@ -67,38 +66,34 @@ def sa_solve(
     cfg: AnnealConfig,
     seed: int = 0,
     budget: Budget | None = None,
-    validate_each_move: bool = False,
 ) -> Solution:
     """Anneal from a feasible seed solution; returns the smallest dominating
     set seen.
 
     ``seed`` seeds the move rng; the draws consume it exactly as
     ``randrange`` would (see the module docstring). ``budget`` is polled
-    before every epoch and every 256 moves. Raises ValueError if the seed
-    solution does not dominate. ``validate_each_move`` re-verifies
-    feasibility before every move (tests only; the normal path relies on
-    the incremental cover counts and checks them once per epoch).
+    before every epoch and every 256 moves. Raises ValueError if a seed
+    member is out of range or the seed solution does not dominate. The
+    moves keep the incremental cover counts, which are checked once per
+    epoch.
     """
-    report = verify(g, seed_solution)
-    if not report.valid:
-        raise ValueError(f"seed solution is not dominating (vertex {report.first_uncovered} uncovered)")
     n = g.n
-    if n == 0:
-        return seed_solution.copy()
-
+    for d in seed_solution.members:
+        if not 0 <= d < n:
+            raise ValueError(f"solution member {d} out of range 0..{n - 1}")
     cover = compute_cover_counts(g, seed_solution.copy())
+    if cover.uncovered:
+        raise ValueError(f"seed solution is not dominating (vertex {cover.counts.index(0)} uncovered)")
+    if n == 0:
+        return cover.solution
+
     # The cover's pick array: its order, kept by swap-with-last drops,
     # drives the random picks.
     cur = cover.members
     in_set = cover.in_set
     counts = cover.counts
     best = list(cur)
-    off = g.off
-    nbr = g.nbr
-    # Built once per run, so a scan costs no slice. Tuples, not lists: the
-    # garbage collector stops tracking a tuple of ints after one pass, so
-    # its later passes during the run skip them.
-    adj = [tuple(nbr[off[v] : off[v + 1]]) for v in range(n)]
+    adj = g.adj
     # mark[x] == tick: x lies in N[put] of the exchange being tested.
     mark = [0] * n
     tick = 0
@@ -113,8 +108,6 @@ def sa_solve(
     while epoch < cfg.max_epochs and not (budget is not None and budget.expired()):
         accept = math.exp(-1.0 / temperature)
         for step in range(moves_per_epoch):
-            if validate_each_move:
-                assert 0 not in counts, "annealing move broke domination"
             if budget is not None and (step & 255) == 0 and budget.expired():
                 break
             r = rand()

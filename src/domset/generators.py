@@ -85,10 +85,8 @@ def star_forest(n: int, max_star: int, seed: int) -> Graph:
 def to_ds(g: Graph) -> str:
     """Serialize to the .ds format; reparsing yields an identical graph."""
     lines = [f"p ds {g.n} {g.m}"]
-    off = g.off
-    nbr = g.nbr
     for u in range(g.n):
-        for w in nbr[off[u] : off[u + 1]]:
+        for w in g.adj[u]:
             if w > u:
                 lines.append(f"{u + 1} {w + 1}")
     return "\n".join(lines) + "\n"

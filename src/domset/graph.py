@@ -1,12 +1,16 @@
-"""CSR graph storage plus parsing and serialization for the .ds format.
+"""Graph storage plus parsing and serialization for the .ds format.
 
-Vertices are 0-indexed everywhere inside the library; the 1-indexed
-convention of the on-disk format applies only at the I/O boundary.
+:meth:`Graph.from_edges` builds the compressed sparse row layout in numpy
+and hands it out as one neighbor tuple per vertex; no other module sees
+the flat layout. Vertices are 0-indexed everywhere inside the library;
+the 1-indexed convention of the on-disk format applies only at the I/O
+boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable
 
 import numpy as np
@@ -30,19 +34,22 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
-# Entries of the neighbor array converted to Python ints per step.
+# Neighbor entries converted to Python ints per step.
 _NBR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected graph in compressed sparse row form.
+    """Immutable undirected graph as per-vertex neighbor tuples.
 
-    ``nbr[off[v]:off[v + 1]]`` lists the neighbors of ``v`` in ascending
-    order, with self-loops dropped and duplicate edges collapsed. The
-    entries of ``nbr`` are interned: all 2m of them are drawn from n shared
-    int objects, one per vertex ID, which keeps a large graph's neighbor
-    list near 8 bytes per entry. The structure is never mutated after
+    ``adj[v]`` holds the neighbors of ``v`` in ascending order, with
+    self-loops dropped and duplicate edges collapsed, so ``len(adj[v]) ==
+    degree[v]``. Every stage scans ``adj[v]`` directly, which costs no
+    per-scan copy. The entries are interned: all 2m of them are drawn from
+    n shared int objects, one per vertex ID, which keeps a large graph near
+    8 bytes per entry. Tuples, not lists: the garbage collector stops
+    tracking a tuple of ints after one pass, so its later passes during a
+    run skip the whole adjacency. The structure is never mutated after
     construction, so it can be shared freely between concurrent solver
     runs.
     """
@@ -50,8 +57,7 @@ class Graph:
     n: int
     m: int
     degree: list[int]
-    off: list[int]
-    nbr: list[int]
+    adj: list[tuple[int, ...]]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -67,43 +73,43 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         pairs = np.asarray(edges if isinstance(edges, (list, np.ndarray)) else list(edges), dtype=np.int64)
         if pairs.size == 0:
-            return cls(n=n, m=0, degree=[0] * n, off=[0] * (n + 1), nbr=[])
+            return cls(n=n, m=0, degree=[0] * n, adj=[()] * n)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
         if int(pairs.min()) < 0 or int(pairs.max()) >= n:
             raise ValueError(f"edge endpoint out of range 0..{n - 1}")
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         if pairs.shape[0] == 0:
-            return cls(n=n, m=0, degree=[0] * n, off=[0] * (n + 1), nbr=[])
-        # Encoding u*n+v for both orientations and sorting groups the
-        # neighbor array by head, ascending; dropping each code equal to its
-        # predecessor removes duplicate edges.
+            return cls(n=n, m=0, degree=[0] * n, adj=[()] * n)
+        # Encoding u*n+v for both orientations and sorting lays the
+        # neighbors out in CSR order: grouped by head, ascending within a
+        # group. Dropping each code equal to its predecessor removes
+        # duplicate edges.
         enc = np.concatenate((pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]))
         enc.sort()
         fresh = np.empty(len(enc), dtype=bool)
         fresh[0] = True
         np.not_equal(enc[1:], enc[:-1], out=fresh[1:])
         enc = enc[fresh]
-        degree = np.bincount(enc // n, minlength=n)
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degree, out=off[1:])
-        # Gathering from an object array of the n IDs makes every entry of
-        # nbr one of n shared ints instead of one of 2m fresh ones; chunks
-        # bound the gathered temporary.
+        degree = np.bincount(enc // n, minlength=n).tolist()
+        # Gathering from an object array of the n IDs makes every entry one
+        # of n shared ints instead of one of 2m fresh ones; chunks bound the
+        # gathered temporary. Each vertex takes the next degree[v] entries.
         ids = np.arange(n).astype(object)
         col = enc % n
-        nbr = [0] * len(col)
-        for start in range(0, len(col), _NBR_CHUNK):
-            nbr[start : start + _NBR_CHUNK] = ids[col[start : start + _NBR_CHUNK]].tolist()
-        return cls(n=n, m=len(enc) // 2, degree=degree.tolist(), off=off.tolist(), nbr=nbr)
+        flat = chain.from_iterable(
+            ids[col[start : start + _NBR_CHUNK]].tolist() for start in range(0, len(col), _NBR_CHUNK)
+        )
+        adj = [tuple(islice(flat, d)) for d in degree]
+        return cls(n=n, m=len(enc) // 2, degree=degree, adj=adj)
 
     def neighbors(self, v: int) -> list[int]:
         """Open neighborhood of ``v`` as a fresh list."""
-        return self.nbr[self.off[v] : self.off[v + 1]]
+        return list(self.adj[v])
 
     def closed_neighborhood(self, v: int) -> list[int]:
         """``v`` followed by its neighbors (``degree[v] + 1`` vertices)."""
-        return [v] + self.nbr[self.off[v] : self.off[v + 1]]
+        return [v, *self.adj[v]]
 
     def max_degree(self) -> int:
         return max(self.degree, default=0)

@@ -1,7 +1,6 @@
 """Gain-based greedy construction: the lazy priority-queue variant used by
-the pipeline, the plain greedy-ln baseline, and an eager reference used to
-cross-check the lazy one. The lazy variant keeps every gain exact;
-:func:`true_gain` recounts one from the cover counts.
+the pipeline and the plain greedy-ln baseline. The lazy variant keeps every
+gain exact; :func:`true_gain` recounts one from the cover counts.
 """
 
 from __future__ import annotations
@@ -12,15 +11,14 @@ from .graph import Graph, Solution
 from .reductions import add_to_d
 from .state import Budget, Cover, compute_cover_counts
 
-__all__ = ["true_gain", "lazy_greedy", "greedy_ln", "eager_greedy"]
+__all__ = ["true_gain", "lazy_greedy", "greedy_ln"]
 
 
 def true_gain(cover: Cover, v: int) -> int:
     """Number of currently undominated vertices in the closed neighborhood of ``v``."""
     counts = cover.counts
     gain = 0 if counts[v] else 1
-    off = cover.g.off
-    for x in cover.g.nbr[off[v] : off[v + 1]]:
+    for x in cover.g.adj[v]:
         if not counts[x]:
             gain += 1
     return gain
@@ -44,14 +42,13 @@ def lazy_greedy(cover: Cover, budget: Budget | None = None) -> None:
         return
     g = cover.g
     n = g.n
-    off = g.off
-    nbr = g.nbr
+    adj = g.adj
     counts = cover.counts
     gain = [d + 1 for d in g.degree]
     for x in range(n):
         if counts[x]:
             gain[x] -= 1
-            for y in nbr[off[x] : off[x + 1]]:
+            for y in adj[x]:
                 gain[y] -= 1
     heap = [-gv * n + v for v, gv in enumerate(gain) if gv]
     heapq.heapify(heap)
@@ -71,10 +68,10 @@ def lazy_greedy(cover: Cover, budget: Budget | None = None) -> None:
             continue
         add_to_d(cover, v)
         # The vertices v dominates for the first time are counted once now.
-        for x in (v, *nbr[off[v] : off[v + 1]]):
+        for x in (v, *adj[v]):
             if counts[x] == 1:
                 gain[x] -= 1
-                for y in nbr[off[x] : off[x + 1]]:
+                for y in adj[x]:
                     gain[y] -= 1
 
 
@@ -83,19 +80,4 @@ def greedy_ln(g: Graph, budget: Budget | None = None) -> Solution:
     the most vertices. No reductions, no pruning."""
     cover = compute_cover_counts(g)
     lazy_greedy(cover, budget)
-    return cover.solution
-
-
-def eager_greedy(g: Graph) -> Solution:
-    """Full-rescore greedy, the slow reference the lazy variant must match."""
-    cover = compute_cover_counts(g)
-    while cover.uncovered > 0:
-        best_v = -1
-        best_gain = 0
-        for v in range(g.n):
-            gain = true_gain(cover, v)
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        add_to_d(cover, best_v)
     return cover.solution

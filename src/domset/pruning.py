@@ -26,14 +26,13 @@ def backward_prune(cover: Cover, near: int | None = None) -> None:
     """
     in_set = cover.in_set
     counts = cover.counts
-    off = cover.g.off
-    nbr = cover.g.nbr
+    adj = cover.g.adj
     if near is not None:
         cand = {near} if in_set[near] else set()
-        for x in nbr[off[near] : off[near + 1]]:
+        for x in adj[near]:
             if in_set[x]:
                 cand.add(x)
-            for y in nbr[off[x] : off[x + 1]]:
+            for y in adj[x]:
                 if in_set[y]:
                     cand.add(y)
     else:
@@ -42,7 +41,7 @@ def backward_prune(cover: Cover, near: int | None = None) -> None:
         if counts[v] < 2:
             continue
         redundant = True
-        for x in nbr[off[v] : off[v + 1]]:
+        for x in adj[v]:
             if counts[x] < 2:
                 redundant = False
                 break

@@ -43,9 +43,8 @@ def apply_leaf_rule(cover: Cover) -> int:
     g = cover.g
     degree = g.degree
     counts = cover.counts
-    off = g.off
-    nbr = g.nbr
+    adj = g.adj
     for u in range(g.n):
         if degree[u] == 1 and not counts[u]:
-            add_to_d(cover, nbr[off[u]])
+            add_to_d(cover, adj[u][0])
     return len(cover.members) - before

@@ -52,11 +52,10 @@ class Cover:
         self.pos[v] = len(members)
         members.append(v)
         self.stamp[v] = next(self.clock)
-        g = self.g
         counts = self.counts
         newly = 0 if counts[v] else 1
         counts[v] += 1
-        for x in g.nbr[g.off[v] : g.off[v + 1]]:
+        for x in self.g.adj[v]:
             c = counts[x]
             counts[x] = c + 1
             if not c:
@@ -74,11 +73,10 @@ class Cover:
             i = pos[v]
             members[i] = last
             pos[last] = i
-        g = self.g
         counts = self.counts
         counts[v] -= 1
         lost = 0 if counts[v] else 1
-        for x in g.nbr[g.off[v] : g.off[v + 1]]:
+        for x in self.g.adj[v]:
             c = counts[x] - 1
             counts[x] = c
             if not c:
@@ -95,8 +93,7 @@ class Cover:
         counts = self.counts
         if counts[v] < 2:
             return False
-        g = self.g
-        for x in g.nbr[g.off[v] : g.off[v + 1]]:
+        for x in self.g.adj[v]:
             if counts[x] < 2:
                 return False
         return True
@@ -104,9 +101,8 @@ class Cover:
     def unique_of(self, v: int) -> list[int]:
         """Vertices in N[v] that member ``v`` is the only dominator of."""
         counts = self.counts
-        g = self.g
         out = [v] if counts[v] == 1 else []
-        for x in g.nbr[g.off[v] : g.off[v + 1]]:
+        for x in self.g.adj[v]:
             if counts[x] == 1:
                 out.append(x)
         return out
@@ -119,11 +115,10 @@ def compute_cover_counts(g: Graph, sol: Solution | None = None) -> Cover:
     if sol is None:
         sol = Solution(g.n)
     counts = [0] * g.n
-    off = g.off
-    nbr = g.nbr
+    adj = g.adj
     for d in sol.members:
         counts[d] += 1
-        for x in nbr[off[d] : off[d + 1]]:
+        for x in adj[d]:
             counts[x] += 1
     return Cover(g, sol, counts)
 

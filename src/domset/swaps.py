@@ -39,19 +39,18 @@ def try_one_swap(cover: Cover, w: int) -> SwapMove | None:
     unique = cover.unique_of(w)
     best_t = -1
     if unique:
-        off = cover.g.off
-        nbr = cover.g.nbr
+        adj = cover.g.adj
         in_set = cover.in_set
         counts = cover.counts
         uset = set(unique)
         need = len(uset)
         best_absorbed = -1
-        for t in nbr[off[w] : off[w + 1]]:
+        for t in adj[w]:
             if in_set[t]:
                 continue
             hits = 1 if t in uset else 0
             absorbed = 1 if counts[t] == 1 else 0
-            for y in nbr[off[t] : off[t + 1]]:
+            for y in adj[t]:
                 if counts[y] == 1:
                     absorbed += 1
                     if y in uset:
@@ -73,7 +72,6 @@ def swap_phase(
     attempt_cap: int,
     budget: Budget | None = None,
     rng: random.Random | None = None,
-    debug: bool = False,
 ) -> None:
     """Sweep the members attempting one swap each, for at most
     ``attempt_cap`` sweeps or until ``budget`` expires.
@@ -89,9 +87,7 @@ def swap_phase(
     new plateaus instead of oscillating; a seeded rng makes the phase
     reproducible. A sweep that applies nothing visited every member against
     an unchanged state, so it proves a fixpoint for any order and ends the
-    phase early. ``debug`` revalidates the incremental counts against a
-    fresh recomputation after every applied swap, and checks that no
-    member is redundant.
+    phase early.
     """
     if attempt_cap < 1:
         raise ValueError(f"attempt_cap must be strictly positive, got {attempt_cap}")
@@ -123,11 +119,6 @@ def swap_phase(
                 pruned = True
             elif move.added is not None:
                 backward_prune(cover, near=move.added)
-            if debug:
-                fresh = compute_cover_counts(cover.g, cover.solution)
-                assert cover.counts == fresh.counts, "incremental cover counts drifted"
-                assert cover.uncovered == fresh.uncovered, "incremental uncovered count drifted"
-                assert not any(map(cover.is_redundant, cover.members)), "a redundant member survived the prune"
         if not changed:
             return
 

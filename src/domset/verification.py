@@ -23,13 +23,12 @@ def verify(g: Graph, sol: Solution) -> VerifyReport:
     vertex (0-indexed) otherwise. Raises ValueError on out-of-range members."""
     n = g.n
     dominated = [False] * n
-    off = g.off
-    nbr = g.nbr
+    adj = g.adj
     for d in sol.members:
         if not 0 <= d < n:
             raise ValueError(f"solution member {d} out of range 0..{n - 1}")
         dominated[d] = True
-        for x in nbr[off[d] : off[d + 1]]:
+        for x in adj[d]:
             dominated[x] = True
     first = next((v for v in range(n) if not dominated[v]), None)
     return VerifyReport(valid=first is None, first_uncovered=first, size=len(sol.members))
@@ -48,12 +47,11 @@ def brute_force_optimum(g: Graph) -> tuple[int, list[int]]:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got {n}")
     if n == 0:
         return 0, []
-    off = g.off
-    nbr = g.nbr
+    adj = g.adj
     masks = []
     for v in range(n):
         mask = 1 << v
-        for x in nbr[off[v] : off[v + 1]]:
+        for x in adj[v]:
             mask |= 1 << x
         masks.append(mask)
     full = (1 << n) - 1
@@ -66,7 +64,7 @@ def brute_force_optimum(g: Graph) -> tuple[int, list[int]]:
         if depth == 0 or uncovered.bit_count() > depth * max_cover:
             return False
         x = (uncovered & -uncovered).bit_length() - 1
-        for v in (x, *nbr[off[x] : off[x + 1]]):
+        for v in (x, *adj[x]):
             chosen.append(v)
             if dfs(uncovered & ~masks[v], depth - 1):
                 return True

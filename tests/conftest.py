@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-from domset import AnnealConfig, Graph, Solution, compute_cover_counts, decay, generate_instance, gnp
+from domset import AnnealConfig, Graph, Solution, add_to_d, compute_cover_counts, decay, generate_instance, gnp, true_gain
 
 
 def path_graph(k: int) -> Graph:
@@ -67,6 +67,21 @@ def eager_continuation(g: Graph, sol: Solution) -> list[int]:
         for x in g.closed_neighborhood(best):
             covered[x] = True
     return added
+
+
+def eager_greedy(g: Graph) -> Solution:
+    """Full-rescore greedy, the slow reference the lazy variant must match."""
+    cover = compute_cover_counts(g)
+    while cover.uncovered > 0:
+        best_v = -1
+        best_gain = 0
+        for v in range(g.n):
+            gain = true_gain(cover, v)
+            if gain > best_gain:
+                best_gain = gain
+                best_v = v
+        add_to_d(cover, best_v)
+    return cover.solution
 
 
 def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int) -> list[int]:

@@ -32,7 +32,8 @@ from domset import (
     star_forest,
     verify,
 )
-from domset.greedy import eager_greedy
+
+from conftest import eager_greedy
 
 KINDS = ("gnp", "tree", "grid", "star-forest")
 

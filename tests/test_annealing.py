@@ -71,8 +71,13 @@ def test_sa_zero_time_budget_returns_seed():
 
 def test_sa_rejects_invalid_seed():
     g = path_graph(5)
-    with pytest.raises(ValueError, match="not dominating"):
+    with pytest.raises(ValueError, match=r"not dominating \(vertex 2 uncovered\)"):
         sa_solve(g, Solution.from_members(5, [0]), AnnealConfig(max_epochs=1))
+    # A member of -1 would otherwise count vertex 4 as dominated.
+    out_of_range = Solution.from_members(5, [1, 3])
+    out_of_range.members.append(-1)
+    with pytest.raises(ValueError, match="member -1 out of range"):
+        sa_solve(g, out_of_range, AnnealConfig(max_epochs=1))
 
 
 def test_sa_never_worse_than_seed_and_always_valid():
@@ -80,7 +85,9 @@ def test_sa_never_worse_than_seed_and_always_valid():
     for _ in range(25):
         g = gnp(rng.randint(1, 40), rng.uniform(0.05, 0.4), rng.randrange(10**6))
         seed = greedy_ln(g)
-        out = sa_solve(g, seed, AnnealConfig(max_epochs=10), seed=rng.randrange(100), validate_each_move=True)
+        # One move per epoch: the domination check sa_solve makes after
+        # every epoch runs after every move.
+        out = sa_solve(g, seed, AnnealConfig(moves_per_epoch=1, max_epochs=1000), seed=rng.randrange(100))
         assert len(out) <= len(seed)
         assert verify(g, out).valid
 
@@ -95,7 +102,7 @@ def test_sa_reproducible_with_fixed_seed():
 
 
 def test_sa_matches_reference_loop():
-    # Inline draws, per-run neighbor tuples, tick marks and the per-epoch
+    # Inline draws, the graph's neighbor tuples, tick marks and the per-epoch
     # threshold must leave every move as the plain loop makes it. Seeds
     # from greedy and from the whole vertex set, temperatures where
     # additions are common and rare, and epoch lengths below and off

@@ -86,10 +86,9 @@ def test_csr_invariants_on_random_edge_lists():
         n = rng.randint(1, 40)
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
         g = Graph.from_edges(n, edges)
-        assert g.off[0] == 0
-        assert g.off[n] == len(g.nbr) == 2 * g.m
-        assert all(g.off[v] <= g.off[v + 1] for v in range(n))
-        assert all(g.off[v + 1] - g.off[v] == g.degree[v] for v in range(n))
+        assert len(g.adj) == len(g.degree) == n
+        assert sum(map(len, g.adj)) == 2 * g.m
+        assert all(len(g.adj[v]) == g.degree[v] for v in range(n))
         assert sum(g.degree) == 2 * g.m
         adj = adjacency_sets(g)
         expected = [set() for _ in range(n)]
@@ -99,14 +98,16 @@ def test_csr_invariants_on_random_edge_lists():
                 expected[v].add(u)
         assert adj == expected
         for v in range(n):
-            slice_ = g.neighbors(v)
-            assert v not in slice_
-            assert len(slice_) == len(set(slice_))
-            assert slice_ == sorted(slice_)
+            nb = g.adj[v]
+            assert type(nb) is tuple
+            assert v not in nb
+            assert all(a < b for a, b in zip(nb, nb[1:]))
+            assert all(v in g.adj[w] for w in nb)
+            assert g.neighbors(v) == list(nb)
 
 
 def test_parse_interns_neighbor_ids():
-    # Both parse paths give the neighbor lists written out from the edge
+    # Both parse paths give the neighbor tuples written out from the edge
     # lines, as plain ints, and the 2m entries share at most n objects.
     from domset.graph import _parse_ds_bulk
 
@@ -117,13 +118,17 @@ def test_parse_interns_neighbor_ids():
         u, v = (int(t) - 1 for t in line.split())
         adj[u].add(v)
         adj[v].add(u)
-    expected = [w for v in range(n) for w in sorted(adj[v])]
+    expected = [tuple(sorted(adj[v])) for v in range(n)]
     crlf = "c per-line path\r\n" + text.replace("\n", "\r\n")
     assert _parse_ds_bulk(text) is not None and _parse_ds_bulk(crlf) is None
-    for g in (parse_ds(text), parse_ds(crlf)):
-        assert g.nbr == expected
-        assert all(type(x) is int for x in g.nbr)
-        assert len({id(x) for x in g.nbr}) <= g.n < len(g.nbr)
+    graphs = (parse_ds(text), parse_ds(crlf))
+    assert graphs[0].adj == graphs[1].adj
+    for g in graphs:
+        assert g.adj == expected
+        assert all(type(nb) is tuple for nb in g.adj)
+        entries = [x for nb in g.adj for x in nb]
+        assert all(type(x) is int for x in entries)
+        assert len({id(x) for x in entries}) <= g.n < len(entries) == 2 * g.m
 
 
 def test_from_edges_rejects_bad_endpoints():

@@ -14,9 +14,8 @@ from domset import (
     true_gain,
     verify,
 )
-from domset.greedy import eager_greedy
 
-from conftest import eager_continuation, path_graph, random_instance, random_partial_set, star_graph
+from conftest import eager_continuation, eager_greedy, path_graph, random_instance, random_partial_set, star_graph
 
 
 def test_true_gain_fresh_star_center():

@@ -16,6 +16,7 @@ from domset import (
     generate_instance,
     verify,
 )
+import domset.swaps
 from domset.swaps import SwapMove
 
 from conftest import cycle_graph, eager_continuation, path_graph, random_instance, random_partial_set, star_graph
@@ -99,7 +100,38 @@ def test_swap_phase_fixpoint_stops_early():
     assert sol.members == [0]
 
 
-def test_swap_phase_never_grows_and_stays_valid():
+def _assert_consistent(cover) -> None:
+    """What swap_phase keeps after every applied move and its prune: the
+    counts and the uncovered count equal a fresh recount, and no member is
+    redundant."""
+    fresh = compute_cover_counts(cover.g, cover.solution)
+    assert cover.counts == fresh.counts, "incremental cover counts drifted"
+    assert cover.uncovered == fresh.uncovered, "incremental uncovered count drifted"
+    assert not any(map(cover.is_redundant, cover.members)), "a redundant member survived the prune"
+
+
+def _checked_swap_phase(monkeypatch, cover, **kwargs) -> None:
+    """Run swap_phase with every state after an applied move checked.
+
+    The state changes only through applied moves and the prunes that follow
+    them, so each such state is the one the next attempt, or the return of
+    swap_phase, sees."""
+    applied = False
+
+    def checked_try(c, w):
+        nonlocal applied
+        if applied:
+            _assert_consistent(c)
+        move = try_one_swap(c, w)
+        applied = move is not None
+        return move
+
+    monkeypatch.setattr(domset.swaps, "try_one_swap", checked_try)
+    swap_phase(cover, **kwargs)
+    _assert_consistent(cover)
+
+
+def test_swap_phase_never_grows_and_stays_valid(monkeypatch):
     rng = random.Random(808)
     for _ in range(30):
         g = gnp(rng.randint(1, 40), rng.uniform(0.05, 0.4), rng.randrange(10**6))
@@ -107,7 +139,7 @@ def test_swap_phase_never_grows_and_stays_valid():
         cover = compute_cover_counts(g, sol)
         backward_prune(cover)
         size_after_prune = len(sol)
-        swap_phase(cover, attempt_cap=8, budget=Budget(None), debug=True)
+        _checked_swap_phase(monkeypatch, cover, attempt_cap=8, budget=Budget(None))
         assert len(sol) <= size_after_prune
         assert verify(g, sol).valid
         assert cover.counts == compute_cover_counts(g, sol).counts
@@ -135,7 +167,7 @@ def _reference_swap_phase(cover, attempt_cap: int, rng: random.Random) -> int:
     return later_removed
 
 
-def test_local_prune_matches_full_prune_after_every_move():
+def test_local_prune_matches_full_prune_after_every_move(monkeypatch):
     rng = random.Random(2024)
     later_removed = 0
     for i in range(100):
@@ -160,7 +192,7 @@ def test_local_prune_matches_full_prune_after_every_move():
                 ref = compute_cover_counts(g, Solution.from_members(g.n, members))
                 later_removed += _reference_swap_phase(ref, 6, random.Random(seed))
                 cover = compute_cover_counts(g, Solution.from_members(g.n, members))
-                swap_phase(cover, attempt_cap=6, rng=random.Random(seed), debug=True)
+                _checked_swap_phase(monkeypatch, cover, attempt_cap=6, rng=random.Random(seed))
                 assert cover.members == ref.members, (i, seed)
                 assert cover.counts == ref.counts
                 assert cover.uncovered == ref.uncovered == 0
