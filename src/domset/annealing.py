@@ -94,9 +94,6 @@ def sa_solve(
     counts = cover.counts
     best = list(cur)
     adj = g.adj
-    # mark[x] == tick: x lies in N[put] of the exchange being tested.
-    mark = [0] * n
-    tick = 0
     rng = random.Random(seed)
     rand = rng.random
     getrandbits = rng.getrandbits
@@ -140,14 +137,12 @@ def sa_solve(
                 while i >= k:
                     i = getrandbits(bits)
                 put = cands[i]
-                # put must dominate every vertex that only out dominates;
-                # out itself is a neighbor of put.
-                tick += 1
-                mark[put] = tick
-                for y in adj[put]:
-                    mark[y] = tick
+                # put must dominate every vertex that only out dominates:
+                # out itself is a neighbor of put, and any other such x
+                # must be put or adjacent to it. Only those x are tested,
+                # each by one lookup in its neighbour tuple.
                 for x in nb:
-                    if counts[x] == 1 and mark[x] != tick:
+                    if counts[x] == 1 and x != put and put not in adj[x]:
                         break
                 else:
                     cover.drop(out)

@@ -9,7 +9,7 @@ import heapq
 
 from .graph import Graph, Solution
 from .reductions import add_to_d
-from .state import Budget, Cover, compute_cover_counts
+from .state import POLL_BATCH, Budget, Cover, compute_cover_counts
 
 __all__ = ["true_gain", "lazy_greedy", "greedy_ln"]
 
@@ -26,7 +26,9 @@ def true_gain(cover: Cover, v: int) -> int:
 
 def lazy_greedy(cover: Cover, budget: Budget | None = None) -> None:
     """Extend the solution until every vertex is dominated, or until
-    ``budget`` expires (polled before every heap pop).
+    ``budget`` expires (polled before the first heap pop and then before
+    every ``POLL_BATCH``-th one, so a budget that has already run out adds
+    nothing).
 
     ``gain[v]`` is kept exact: it starts as the number of undominated
     vertices in N[v] under ``cover.counts`` (so reductions and partial sets
@@ -56,9 +58,11 @@ def lazy_greedy(cover: Cover, budget: Budget | None = None) -> None:
     push = heapq.heappush
     # An undominated vertex keeps a positive gain and so its entry: the
     # heap cannot run dry while a vertex is undominated.
+    pops = 0
     while cover.uncovered > 0:
-        if budget is not None and budget.expired():
+        if pops % POLL_BATCH == 0 and budget is not None and budget.expired():
             return
+        pops += 1
         key = pop(heap)
         v = key % n
         gv = gain[v]

@@ -19,22 +19,33 @@ def backward_prune(cover: Cover, near: int | None = None) -> None:
     :meth:`Cover.is_redundant` per member: a call per member is measurably
     slower on this hot path.
 
-    With ``near`` set, only the members whose closed neighborhood meets
-    N[near] are scanned, newest first. When no member was redundant before
-    ``near``'s counts went up, only those members can have become
-    redundant, and the result equals the full pass's.
+    With ``near`` set, it prunes after an exchange that added ``near``:
+    the caller guarantees that no member was redundant before the exchange.
+    A member v that is redundant now then had a private vertex x, covered
+    by v alone, whose count has gone up, so x lies in N[near] and now has
+    a count of exactly 2, with v as its one dominator besides ``near``.
+    ``near`` itself is never redundant, because it now alone covers the
+    vertices the removed member covered alone. So only those other
+    dominators of count-2 vertices in N[near] are scanned, newest first.
+    Every member left out is not redundant now, and removals only lower
+    counts, so it would not have been removed later in the pass: the
+    result equals the full pass's.
     """
     in_set = cover.in_set
     counts = cover.counts
     adj = cover.g.adj
     if near is not None:
-        cand = {near} if in_set[near] else set()
-        for x in adj[near]:
-            if in_set[x]:
+        cand = set()
+        for x in (near, *adj[near]):
+            if counts[x] != 2:
+                continue
+            if x != near and in_set[x]:
                 cand.add(x)
+                continue
             for y in adj[x]:
-                if in_set[y]:
+                if y != near and in_set[y]:
                     cand.add(y)
+                    break
     else:
         cand = cover.members
     for v in sorted(cand, key=cover.stamp.__getitem__, reverse=True):

@@ -123,6 +123,12 @@ def compute_cover_counts(g: Graph, sol: Solution | None = None) -> Cover:
     return Cover(g, sol, counts)
 
 
+# Greedy and the swap phase poll their budget once per this many units of
+# work (heap pops, degree-weighted candidate checks), which keeps clock and
+# stop-event reads negligible relative to the work they bound.
+POLL_BATCH = 64
+
+
 class Budget:
     """When a run must stop: once the stop event is set, or at a wall-clock
     deadline ``ms`` milliseconds after construction.

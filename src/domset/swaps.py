@@ -8,13 +8,9 @@ from dataclasses import dataclass
 from .graph import Graph, Solution
 from .greedy import lazy_greedy
 from .pruning import backward_prune
-from .state import Budget, Cover, compute_cover_counts
+from .state import POLL_BATCH, Budget, Cover, compute_cover_counts
 
 __all__ = ["SwapMove", "try_one_swap", "swap_phase", "safety_patch"]
-
-# The budget is polled once per this many candidate checks to keep clock
-# and stop-event reads negligible relative to the work they bound.
-_POLL_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -35,6 +31,12 @@ def try_one_swap(cover: Cover, w: int) -> SwapMove | None:
     vertices overall wins (first in adjacency order on ties), since every
     uniqueness it erases is a future pruning opportunity. Returns the
     applied move, or None with the state untouched.
+
+    When a vertex u other than ``w`` is uniquely covered, a qualifying t
+    must cover u, so it lies in N[u]; every other t is skipped before its
+    O(deg t) scan. That skips only candidates that could not qualify, so
+    the same t wins. When ``w`` alone is uniquely covered, every t in N(w)
+    covers it and all are scanned.
     """
     unique = cover.unique_of(w)
     best_t = -1
@@ -45,8 +47,13 @@ def try_one_swap(cover: Cover, w: int) -> SwapMove | None:
         uset = set(unique)
         need = len(uset)
         best_absorbed = -1
+        # unique_of lists w first, so u != w unless w is the only one, and
+        # then N[u] = N[w] holds every t.
+        u = unique[-1]
+        reach = set(adj[u])
+        reach.add(u)
         for t in adj[w]:
-            if in_set[t]:
+            if in_set[t] or t not in reach:
                 continue
             hits = 1 if t in uset else 0
             absorbed = 1 if counts[t] == 1 else 0
@@ -106,7 +113,7 @@ def swap_phase(
             if not in_set[w]:
                 continue
             checks += degree[w] + 1
-            if checks >= _POLL_BATCH:
+            if checks >= POLL_BATCH:
                 checks = 0
                 if budget is not None and budget.expired():
                     return

@@ -6,6 +6,7 @@ import math
 import random
 
 from domset import AnnealConfig, Graph, Solution, add_to_d, compute_cover_counts, decay, generate_instance, gnp, true_gain
+from domset.swaps import SwapMove
 
 
 def path_graph(k: int) -> Graph:
@@ -82,6 +83,39 @@ def eager_greedy(g: Graph) -> Solution:
                 best_v = v
         add_to_d(cover, best_v)
     return cover.solution
+
+
+def reference_try_one_swap(cover, w: int) -> SwapMove | None:
+    """The exchange scan without any candidate filter: every t in N(w)
+    outside the set has its closed neighborhood scanned. A t covering all
+    that ``w`` alone covers, absorbing the most uniquely covered vertices
+    (first in adjacency order on ties), replaces ``w``; with nothing
+    uniquely covered ``w`` just goes."""
+    unique = cover.unique_of(w)
+    best_t = -1
+    if unique:
+        uset = set(unique)
+        best_absorbed = -1
+        for t in cover.g.neighbors(w):
+            if cover.in_set[t]:
+                continue
+            hits = 1 if t in uset else 0
+            absorbed = 1 if cover.counts[t] == 1 else 0
+            for y in cover.g.neighbors(t):
+                if cover.counts[y] == 1:
+                    absorbed += 1
+                    if y in uset:
+                        hits += 1
+            if hits == len(uset) and absorbed > best_absorbed:
+                best_t = t
+                best_absorbed = absorbed
+        if best_t < 0:
+            return None
+    cover.drop(w)
+    if best_t < 0:
+        return SwapMove(w, None)
+    cover.add(best_t)
+    return SwapMove(w, best_t)
 
 
 def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int) -> list[int]:

@@ -19,7 +19,55 @@ from domset import (
 import domset.swaps
 from domset.swaps import SwapMove
 
-from conftest import cycle_graph, eager_continuation, path_graph, random_instance, random_partial_set, star_graph
+from conftest import (
+    cycle_graph,
+    eager_continuation,
+    path_graph,
+    random_instance,
+    random_partial_set,
+    reference_try_one_swap,
+    star_graph,
+)
+
+
+def _start_sets(rng: random.Random, g: Graph) -> tuple[list[int], list[int]]:
+    """A pruned greedy set, and the greedy set plus random extra members,
+    which is redundant from the start."""
+    start = list(greedy_ln(g).members)
+    pruned = compute_cover_counts(g, Solution.from_members(g.n, start))
+    backward_prune(pruned)
+    taken = set(start)
+    extra = start + [v for v in range(g.n) if v not in taken and rng.random() < 0.1]
+    return list(pruned.members), extra
+
+
+def test_try_one_swap_matches_unfiltered_scan():
+    rng = random.Random(4711)
+    kinds = {"free": 0, "only w": 0, "filtered": 0, "none": 0}
+    for i in range(120):
+        g = random_instance(rng, i % 4)
+        for members in _start_sets(rng, g):
+            cover = compute_cover_counts(g, Solution.from_members(g.n, members))
+            ref = compute_cover_counts(g, Solution.from_members(g.n, members))
+            # Two passes over the members, so later attempts see states the
+            # earlier moves made.
+            for w in cover.in_order() * 2:
+                if not cover.in_set[w]:
+                    continue
+                unique = cover.unique_of(w)
+                move = try_one_swap(cover, w)
+                assert move == reference_try_one_swap(ref, w), (i, w)
+                assert cover.members == ref.members
+                assert cover.counts == ref.counts
+                if move is None:
+                    kinds["none"] += 1
+                elif move.added is None:
+                    kinds["free"] += 1
+                else:
+                    kinds["only w" if unique == [w] else "filtered"] += 1
+    # Every branch of the scan was taken, the filtered one most of all.
+    assert min(kinds.values()) > 0, kinds
+    assert kinds["filtered"] > kinds["only w"], kinds
 
 
 def test_swap_budget_validation():
@@ -146,8 +194,9 @@ def test_swap_phase_never_grows_and_stays_valid(monkeypatch):
 
 
 def _reference_swap_phase(cover, attempt_cap: int, rng: random.Random) -> int:
-    """The swap loop with a full backward prune after every applied move.
-    Returns how many members the prunes after the first one removed."""
+    """The swap loop with the unfiltered exchange scan and a full backward
+    prune after every applied move. Returns how many members the prunes
+    after the first one removed."""
     later_removed = 0
     applied = 0
     for _ in range(attempt_cap):
@@ -155,7 +204,7 @@ def _reference_swap_phase(cover, attempt_cap: int, rng: random.Random) -> int:
         rng.shuffle(order)
         changed = False
         for w in order:
-            if cover.in_set[w] and try_one_swap(cover, w) is not None:
+            if cover.in_set[w] and reference_try_one_swap(cover, w) is not None:
                 changed = True
                 applied += 1
                 before = len(cover.members)
@@ -181,13 +230,7 @@ def test_local_prune_matches_full_prune_after_every_move(monkeypatch):
             g = generate_instance("star-forest", rng.randrange(10**6), n=n, max_star=rng.randint(1, 8))[0]
         else:
             g = generate_instance("grid", 0, rows=rng.randint(1, 17), cols=rng.randint(1, 17))[0]
-        start = list(greedy_ln(g).members)
-        pruned = compute_cover_counts(g, Solution.from_members(g.n, start))
-        backward_prune(pruned)
-        # Greedy output plus random extra members: redundant from the start.
-        taken = set(start)
-        extra = start + [v for v in range(g.n) if v not in taken and rng.random() < 0.1]
-        for members in (list(pruned.members), extra):
+        for members in _start_sets(rng, g):
             for seed in (1, 2, 3):
                 ref = compute_cover_counts(g, Solution.from_members(g.n, members))
                 later_removed += _reference_swap_phase(ref, 6, random.Random(seed))
