@@ -124,8 +124,8 @@ def compute_cover_counts(g: Graph, sol: Solution | None = None) -> Cover:
 
 
 # Greedy and the swap phase poll their budget once per this many units of
-# work (heap pops, degree-weighted candidate checks), which keeps clock and
-# stop-event reads negligible relative to the work they bound.
+# work (bucket visits, degree-weighted candidate checks), which keeps clock
+# and stop-event reads negligible relative to the work they bound.
 POLL_BATCH = 64
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
@@ -83,6 +84,39 @@ def eager_greedy(g: Graph) -> Solution:
                 best_v = v
         add_to_d(cover, best_v)
     return cover.solution
+
+
+def reference_heap_greedy(cover) -> None:
+    """The lazy greedy over a binary heap: exact gains, one int key
+    ``-gain * n + v`` per vertex, and a popped key above its vertex's gain
+    pushed back corrected (dropped at gain 0). Extends ``cover`` in the
+    max-gain, smallest-ID order ``lazy_greedy`` must follow."""
+    g = cover.g
+    n = g.n
+    adj = g.adj
+    counts = cover.counts
+    gain = [d + 1 for d in g.degree]
+    for x in range(n):
+        if counts[x]:
+            gain[x] -= 1
+            for y in adj[x]:
+                gain[y] -= 1
+    heap = [-gv * n + v for v, gv in enumerate(gain) if gv]
+    heapq.heapify(heap)
+    while cover.uncovered > 0:
+        key = heapq.heappop(heap)
+        v = key % n
+        gv = gain[v]
+        if gv < -(key // n):
+            if gv:
+                heapq.heappush(heap, -gv * n + v)
+            continue
+        cover.add(v)
+        for x in (v, *adj[v]):
+            if counts[x] == 1:
+                gain[x] -= 1
+                for y in adj[x]:
+                    gain[y] -= 1
 
 
 def reference_try_one_swap(cover, w: int) -> SwapMove | None:

@@ -1,13 +1,20 @@
 import math
 import random
+import threading
 
+import pytest
+
+import domset.greedy
 from domset import (
+    Budget,
     Graph,
+    Solution,
     add_to_d,
     apply_isolate_rule,
     apply_leaf_rule,
     brute_force_optimum,
     compute_cover_counts,
+    generate_instance,
     gnp,
     greedy_ln,
     lazy_greedy,
@@ -15,7 +22,17 @@ from domset import (
     verify,
 )
 
-from conftest import eager_continuation, eager_greedy, path_graph, random_instance, random_partial_set, star_graph
+from domset.state import POLL_BATCH
+
+from conftest import (
+    eager_continuation,
+    eager_greedy,
+    path_graph,
+    random_instance,
+    random_partial_set,
+    reference_heap_greedy,
+    star_graph,
+)
 
 
 def test_true_gain_fresh_star_center():
@@ -120,3 +137,111 @@ def test_lazy_greedy_continues_any_partial_set_eagerly():
             assert cover.members == before + expected
             assert cover.uncovered == 0
             assert verify(g, cover.solution).valid
+
+
+def _large_instance(rng: random.Random, kind: int) -> Graph:
+    """A graph of 2k-5k vertices: gnp (kind 0), tree (1), star forest (2)
+    or grid (3)."""
+    n = rng.randint(2000, 5000)
+    seed = rng.randrange(10**6)
+    if kind == 0:
+        return gnp(n, rng.uniform(1.0, 12.0) / (n - 1), seed)
+    if kind == 1:
+        return generate_instance("tree", seed, n=n)[0]
+    if kind == 2:
+        return generate_instance("star-forest", seed, n=n, max_star=rng.randint(2, 40))[0]
+    rows = rng.randint(40, 70)
+    return generate_instance("grid", seed, rows=rows, cols=n // rows)[0]
+
+
+def _clique_cluster_graph(rng: random.Random, n: int) -> Graph:
+    """Disjoint cliques of 3-12 vertices joined by sparse random edges. A
+    pick inside a clique dominates all of it at once, so every other clique
+    vertex falls by several gain levels in one pick."""
+    edges = []
+    start = 0
+    while start < n:
+        size = min(rng.randint(3, 12), n - start)
+        edges.extend((start + i, start + j) for i in range(size) for j in range(i + 1, size))
+        start += size
+    edges.extend((rng.randrange(n), rng.randrange(n)) for _ in range(n))
+    return Graph.from_edges(n, [(a, b) for a, b in edges if a != b])
+
+
+def _equal_stars(stars: int, leaves: int) -> Graph:
+    """Disjoint stars of equal size: every center is picked before any stale
+    entry is visited, so each visit up to the last center is a pick."""
+    k = leaves + 1
+    return Graph.from_edges(stars * k, [(s * k, s * k + i) for s in range(stars) for i in range(1, k)])
+
+
+def test_lazy_greedy_matches_heap_reference_at_scale():
+    """At 2k-5k vertices, where the eager continuation is too slow, the
+    bucket queue picks the same vertices in the same order as the heap
+    reference, from an empty set, the reduced set and a random partial set."""
+    rng = random.Random(4242)
+    graphs = [_large_instance(rng, i % 4) for i in range(8)]
+    clustered = _clique_cluster_graph(rng, 3000)
+    graphs.append(clustered)
+    # The first pick on the clustered graph drops many vertices by 3 or more
+    # levels at once.
+    first = compute_cover_counts(clustered)
+    reference_heap_greedy(first)
+    picked = compute_cover_counts(clustered)
+    add_to_d(picked, first.members[0])
+    fresh = compute_cover_counts(clustered)
+    assert sum(true_gain(fresh, v) - true_gain(picked, v) >= 3 for v in range(clustered.n)) >= 5
+    for g in graphs:
+        reduced = compute_cover_counts(g)
+        apply_isolate_rule(reduced)
+        apply_leaf_rule(reduced)
+        starts = [Solution(g.n), reduced.solution, random_partial_set(rng, g)]
+        for start in starts:
+            cover = compute_cover_counts(g, start.copy())
+            expected = compute_cover_counts(g, start.copy())
+            lazy_greedy(cover)
+            reference_heap_greedy(expected)
+            assert cover.members == expected.members
+            assert cover.counts == expected.counts
+            assert cover.uncovered == 0
+
+
+def test_lazy_greedy_expired_budget_adds_nothing():
+    g = gnp(500, 0.01, seed=8)
+    for start in (Solution(g.n), random_partial_set(random.Random(8), g)):
+        cover = compute_cover_counts(g, start.copy())
+        counts = list(cover.counts)
+        lazy_greedy(cover, Budget(0))
+        assert cover.members == start.members
+        assert cover.counts == counts
+
+
+@pytest.mark.parametrize("k", [1, 5, POLL_BATCH, 150])
+def test_lazy_greedy_stop_after_k_picks_ends_within_a_poll_batch(monkeypatch, k):
+    """A stop set by the k-th pick ends greedy within ``POLL_BATCH`` visits,
+    leaving the first picks of the unstopped run and counts that match its
+    members."""
+    for g in (gnp(3000, 6 / 2999, seed=12), _equal_stars(400, 5)):
+        full = compute_cover_counts(g)
+        lazy_greedy(full)
+        assert len(full.members) >= k + POLL_BATCH
+        stop = threading.Event()
+        picks = []
+        real_add = domset.greedy.add_to_d
+
+        def add_then_stop(cover, v):
+            real_add(cover, v)
+            picks.append(v)
+            if len(picks) == k:
+                stop.set()
+
+        monkeypatch.setattr(domset.greedy, "add_to_d", add_then_stop)
+        cover = compute_cover_counts(g)
+        lazy_greedy(cover, Budget(stop=stop))
+        monkeypatch.undo()
+        # Every pick is a visit, so fewer than POLL_BATCH picks follow the stop.
+        assert k <= len(cover.members) < k + POLL_BATCH
+        assert cover.members == full.members[: len(cover.members)]
+        recount = compute_cover_counts(g, Solution.from_members(g.n, cover.members))
+        assert cover.counts == recount.counts
+        assert cover.uncovered == recount.uncovered > 0
