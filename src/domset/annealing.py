@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .graph import Graph, Solution
-from .state import Budget, compute_cover_counts
+from .state import UNBOUNDED, Budget, compute_cover_counts
 
 __all__ = ["AnnealConfig", "decay", "sa_solve", "TEMPERATURE_FLOOR"]
 
@@ -45,8 +45,8 @@ class AnnealConfig:
     max_epochs: int = 200
 
     def __post_init__(self) -> None:
-        if self.initial_temperature <= 0:
-            raise ValueError("initial_temperature must be positive")
+        if not (math.isfinite(self.initial_temperature) and self.initial_temperature > 0):
+            raise ValueError(f"initial_temperature must be finite and positive, got {self.initial_temperature}")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must lie in (0, 1)")
         if self.moves_per_epoch is not None and self.moves_per_epoch < 1:
@@ -65,7 +65,7 @@ def sa_solve(
     seed_solution: Solution,
     cfg: AnnealConfig,
     seed: int = 0,
-    budget: Budget | None = None,
+    budget: Budget = UNBOUNDED,
 ) -> Solution:
     """Anneal from a feasible seed solution; returns the smallest dominating
     set seen.
@@ -102,10 +102,10 @@ def sa_solve(
     temperature = cfg.initial_temperature
 
     epoch = 0
-    while epoch < cfg.max_epochs and not (budget is not None and budget.expired()):
+    while epoch < cfg.max_epochs and not budget.expired():
         accept = math.exp(-1.0 / temperature)
         for step in range(moves_per_epoch):
-            if budget is not None and (step & 255) == 0 and budget.expired():
+            if (step & 255) == 0 and budget.expired():
                 break
             r = rand()
             if r < _P_EXCHANGE:

@@ -110,30 +110,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        gamma, witness = brute_force_optimum(g)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    gamma, witness = brute_force_optimum(g)
     print(gamma)
     print(" ".join(str(v + 1) for v in sorted(witness)))
     return EXIT_OK
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        _, text = generate_instance(
-            args.kind,
-            args.seed,
-            n=args.n,
-            p=args.p,
-            rows=args.rows,
-            cols=args.cols,
-            max_star=args.max_star,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _, text = generate_instance(
+        args.kind,
+        args.seed,
+        n=args.n,
+        p=args.p,
+        rows=args.rows,
+        cols=args.cols,
+        max_star=args.max_star,
+    )
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:

@@ -103,17 +103,6 @@ class Graph:
         adj = [tuple(islice(flat, d)) for d in degree]
         return cls(n=n, m=len(enc) // 2, degree=degree, adj=adj)
 
-    def neighbors(self, v: int) -> list[int]:
-        """Open neighborhood of ``v`` as a fresh list."""
-        return list(self.adj[v])
-
-    def closed_neighborhood(self, v: int) -> list[int]:
-        """``v`` followed by its neighbors (``degree[v] + 1`` vertices)."""
-        return [v, *self.adj[v]]
-
-    def max_degree(self) -> int:
-        return max(self.degree, default=0)
-
 
 class Solution:
     """Dominator list with O(1) membership flags.
@@ -261,15 +250,19 @@ def _parse_ds_bulk(data: bytes | str) -> Graph | None:
     return Graph.from_edges(n, ids.reshape(-1, 2))
 
 
+def _text(data: bytes | str) -> str:
+    """``data`` as text, decoding bytes as UTF-8."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(None, f"input is not valid text: {exc}") from None
+
+
 def _parse_ds_lines(data: bytes | str) -> Graph:
     """The per-line reference parser behind :func:`parse_ds`."""
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(None, f"input is not valid text: {exc}") from None
-    else:
-        text = data
+    text = _text(data)
     n = -1
     declared_m = 0
     edges: list[tuple[int, int]] = []
@@ -314,13 +307,7 @@ def parse_solution(data: bytes | str, n: int) -> Solution:
     Accepts 'c' comments and blank lines; requires the declared size to
     match the number of vertex lines and every ID to be in 1..n, unique.
     """
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(None, f"input is not valid text: {exc}") from None
-    else:
-        text = data
+    text = _text(data)
     size = -1
     sol = Solution(n)
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .graph import Graph, Solution
 from .reductions import add_to_d
-from .state import POLL_BATCH, Budget, Cover, compute_cover_counts
+from .state import POLL_BATCH, UNBOUNDED, Budget, Cover, compute_cover_counts
 
 __all__ = ["true_gain", "lazy_greedy", "greedy_ln"]
 
@@ -23,7 +23,7 @@ def true_gain(cover: Cover, v: int) -> int:
     return gain
 
 
-def lazy_greedy(cover: Cover, budget: Budget | None = None) -> None:
+def lazy_greedy(cover: Cover, budget: Budget = UNBOUNDED) -> None:
     """Extend the solution until every vertex is dominated, or until
     ``budget`` expires (polled before the first bucket visit and then before
     every ``POLL_BATCH``-th one, so a budget that has already run out adds
@@ -65,7 +65,7 @@ def lazy_greedy(cover: Cover, budget: Budget | None = None) -> None:
         bucket = buckets.pop()
         bucket.sort()
         for v in bucket:
-            if visits % POLL_BATCH == 0 and budget is not None and budget.expired():
+            if visits % POLL_BATCH == 0 and budget.expired():
                 return
             visits += 1
             gv = gain[v]
@@ -84,7 +84,7 @@ def lazy_greedy(cover: Cover, budget: Budget | None = None) -> None:
                 return
 
 
-def greedy_ln(g: Graph, budget: Budget | None = None) -> Solution:
+def greedy_ln(g: Graph, budget: Budget = UNBOUNDED) -> Solution:
     """Plain greedy baseline: repeatedly take the vertex that newly dominates
     the most vertices. No reductions, no pruning."""
     cover = compute_cover_counts(g)

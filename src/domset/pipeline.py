@@ -13,6 +13,7 @@ poll it; once it has expired, the improvement stage is skipped.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -62,8 +63,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if self.time_budget_ms <= 0:
-            raise ValueError("time_budget_ms must be strictly positive")
+        if not (math.isfinite(self.time_budget_ms) and self.time_budget_ms > 0):
+            raise ValueError(f"time_budget_ms must be finite and strictly positive, got {self.time_budget_ms}")
         if self.attempt_cap < 1:
             raise ValueError("attempt_cap must be strictly positive")
 
@@ -104,7 +105,7 @@ def solve(
         if cfg.algorithm == "hedom5":
             backward_prune(cover)
             record("prune")
-            swap_phase(cover, cfg.attempt_cap, budget, rng=random.Random(cfg.seed))
+            swap_phase(cover, cfg.attempt_cap, budget, random.Random(cfg.seed))
             record("swap")
         elif cfg.algorithm == "sa":
             sol = sa_solve(g, sol, cfg.anneal, cfg.seed, budget)

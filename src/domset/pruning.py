@@ -15,9 +15,8 @@ def backward_prune(cover: Cover, near: int | None = None) -> None:
     Counts are maintained live, so members that only become redundant
     through removals later in the scan are still caught. Only redundant
     members leave, so ``cover.uncovered`` is unchanged. The redundancy test
-    reads the cover's lists as locals instead of calling
-    :meth:`Cover.is_redundant` per member: a call per member is measurably
-    slower on this hot path.
+    is written inline, over the cover's lists as locals: a call per member
+    is measurably slower on this hot path.
 
     With ``near`` set, it prunes after an exchange that added ``near``:
     the caller guarantees that no member was redundant before the exchange.

@@ -5,6 +5,7 @@ run must stop."""
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 
@@ -87,17 +88,6 @@ class Cover:
         """The members in insertion order, oldest first."""
         return sorted(self.members, key=self.stamp.__getitem__)
 
-    def is_redundant(self, v: int) -> bool:
-        """True when every vertex of N[v] is dominated at least twice, so
-        dropping member ``v`` keeps the set dominating."""
-        counts = self.counts
-        if counts[v] < 2:
-            return False
-        for x in self.g.adj[v]:
-            if counts[x] < 2:
-                return False
-        return True
-
     def unique_of(self, v: int) -> list[int]:
         """Vertices in N[v] that member ``v`` is the only dominator of."""
         counts = self.counts
@@ -135,14 +125,15 @@ class Budget:
 
     ``ms=None`` sets no deadline (attempt-counted mode), leaving the stages'
     own sweep and epoch caps to end the run; ``ms=0`` is a budget that has
-    already run out.
+    already run out. A non-finite ``ms`` is rejected: a NaN deadline would
+    never fire.
     """
 
     __slots__ = ("deadline", "stop")
 
     def __init__(self, ms: float | None = None, stop: threading.Event | None = None) -> None:
-        if ms is not None and ms < 0:
-            raise ValueError(f"budget must be non-negative, got {ms} ms")
+        if ms is not None and not (math.isfinite(ms) and ms >= 0):
+            raise ValueError(f"budget must be finite and non-negative, got {ms} ms")
         self.deadline = None if ms is None else time.perf_counter() + ms / 1000.0
         self.stop = stop
 
@@ -151,3 +142,7 @@ class Budget:
         if self.stop is not None and self.stop.is_set():
             return True
         return self.deadline is not None and time.perf_counter() >= self.deadline
+
+
+# The default budget of a stage called on its own: no deadline, no stop.
+UNBOUNDED = Budget()

@@ -74,23 +74,19 @@ def try_one_swap(cover: Cover, w: int) -> SwapMove | None:
     return SwapMove(w, best_t)
 
 
-def swap_phase(
-    cover: Cover,
-    attempt_cap: int,
-    budget: Budget | None = None,
-    rng: random.Random | None = None,
-) -> None:
+def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Random) -> None:
     """Sweep the members attempting one swap each, for at most
     ``attempt_cap`` sweeps or until ``budget`` expires.
 
-    The first applied move is followed by a full backward prune pass,
-    after which no member is redundant. From then on an exchange raises
-    counts only on N[t] of the vertex t it adds, so a prune of the members
-    near t, newest first, harvests exactly the follow-on removals the full
-    pass would; a free removal only lowers counts and needs no prune. The
-    set size never increases. Each sweep starts from the members in
-    insertion order (:meth:`Cover.in_order`) and shuffles them with
-    ``rng`` when one is given, which keeps the equal-size exchanges walking
+    Unless ``budget`` has already expired, the phase opens with one full
+    backward prune pass, after which no member is redundant; a set that is
+    already prune-minimal, as the pipeline's is, loses nothing to it. From
+    then on an exchange raises counts only on N[t] of the vertex t it adds,
+    so a prune of the members near t, newest first, harvests exactly the
+    follow-on removals the full pass would; a free removal only lowers
+    counts and needs no prune. The set size never increases. Each sweep
+    takes the members in insertion order (:meth:`Cover.in_order`) and
+    shuffles them with ``rng``, which keeps the equal-size exchanges walking
     new plateaus instead of oscillating; a seeded rng makes the phase
     reproducible. A sweep that applies nothing visited every member against
     an unchanged state, so it proves a fixpoint for any order and ends the
@@ -98,16 +94,15 @@ def swap_phase(
     """
     if attempt_cap < 1:
         raise ValueError(f"attempt_cap must be strictly positive, got {attempt_cap}")
+    if budget.expired():
+        return
+    backward_prune(cover)
     in_set = cover.in_set
     degree = cover.g.degree
     checks = 0
-    pruned = False
     for _ in range(attempt_cap):
-        if budget is not None and budget.expired():
-            return
         order = cover.in_order()
-        if rng is not None:
-            rng.shuffle(order)
+        rng.shuffle(order)
         changed = False
         for w in order:
             if not in_set[w]:
@@ -115,18 +110,15 @@ def swap_phase(
             checks += degree[w] + 1
             if checks >= POLL_BATCH:
                 checks = 0
-                if budget is not None and budget.expired():
+                if budget.expired():
                     return
             move = try_one_swap(cover, w)
             if move is None:
                 continue
             changed = True
-            if not pruned:
-                backward_prune(cover)
-                pruned = True
-            elif move.added is not None:
+            if move.added is not None:
                 backward_prune(cover, near=move.added)
-        if not changed:
+        if not changed or budget.expired():
             return
 
 

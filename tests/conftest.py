@@ -28,7 +28,18 @@ def complete_graph(k: int) -> Graph:
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
-    return [set(g.neighbors(v)) for v in range(g.n)]
+    return [set(g.adj[v]) for v in range(g.n)]
+
+
+def closed_neighborhood(g: Graph, v: int) -> list[int]:
+    """``v`` followed by its neighbors (``degree[v] + 1`` vertices)."""
+    return [v, *g.adj[v]]
+
+
+def is_redundant(cover, v: int) -> bool:
+    """True when every vertex of N[v] is dominated at least twice, so
+    dropping member ``v`` keeps the set dominating."""
+    return all(cover.counts[x] >= 2 for x in closed_neighborhood(cover.g, v))
 
 
 def random_instance(rng: random.Random, kind: int) -> Graph:
@@ -60,13 +71,13 @@ def eager_continuation(g: Graph, sol: Solution) -> list[int]:
     ID on ties. Returns the added vertices in order."""
     covered = [False] * g.n
     for d in sol.members:
-        for x in g.closed_neighborhood(d):
+        for x in closed_neighborhood(g, d):
             covered[x] = True
     added = []
     while not all(covered):
-        best = max(range(g.n), key=lambda v: (sum(not covered[x] for x in g.closed_neighborhood(v)), -v))
+        best = max(range(g.n), key=lambda v: (sum(not covered[x] for x in closed_neighborhood(g, v)), -v))
         added.append(best)
-        for x in g.closed_neighborhood(best):
+        for x in closed_neighborhood(g, best):
             covered[x] = True
     return added
 
@@ -130,12 +141,12 @@ def reference_try_one_swap(cover, w: int) -> SwapMove | None:
     if unique:
         uset = set(unique)
         best_absorbed = -1
-        for t in cover.g.neighbors(w):
+        for t in cover.g.adj[w]:
             if cover.in_set[t]:
                 continue
             hits = 1 if t in uset else 0
             absorbed = 1 if cover.counts[t] == 1 else 0
-            for y in cover.g.neighbors(t):
+            for y in cover.g.adj[t]:
                 if cover.counts[y] == 1:
                     absorbed += 1
                     if y in uset:
@@ -154,7 +165,7 @@ def reference_try_one_swap(cover, w: int) -> SwapMove | None:
 
 def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int) -> list[int]:
     """The annealing loop written plainly, with ``rng.randrange`` draws,
-    ``Cover.is_redundant`` and ``Cover.unique_of`` plus a set: removal,
+    ``is_redundant`` and ``Cover.unique_of`` plus a set: removal,
     exchange and addition proposals in the mix 0.4 : 0.4 : 0.2. Returns the
     best members in the order ``sa_solve`` must give them."""
     cover = compute_cover_counts(g, seed_solution.copy())
@@ -170,11 +181,11 @@ def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int
             r = rng.random()
             if r < 0.4:
                 out = cur[rng.randrange(len(cur))]
-                if not cover.is_redundant(out):
+                if not is_redundant(cover, out):
                     continue
             elif r < 0.8:
                 out = cur[rng.randrange(len(cur))]
-                cands = [t for t in g.neighbors(out) if not in_set[t]]
+                cands = [t for t in g.adj[out] if not in_set[t]]
                 if not cands:
                     continue
                 put = cands[rng.randrange(len(cands))]
@@ -182,7 +193,7 @@ def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int
                 if unique:
                     uset = set(unique)
                     hits = 1 if put in uset else 0
-                    for y in g.neighbors(put):
+                    for y in g.adj[put]:
                         if y in uset:
                             hits += 1
                     if hits != len(uset):

@@ -106,7 +106,7 @@ def test_c2_oracle_optimality_gap_on_tiny_instances():
         if size > gamma + 2:
             gap_violations.append((i, size, gamma))
         greedy_size = len(greedy_ln(g))
-        if greedy_size > (math.log(g.max_degree() + 1) + 1) * gamma:
+        if greedy_size > (math.log(max(g.degree) + 1) + 1) * gamma:
             greedy_violations.append((i, greedy_size, gamma))
     elapsed = time.perf_counter() - start
     rate = exact / total

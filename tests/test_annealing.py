@@ -43,6 +43,10 @@ def test_config_validation():
         AnnealConfig(moves_per_epoch=0, max_epochs=1)
     with pytest.raises(ValueError):
         AnnealConfig(max_epochs=-1)
+    # At a NaN temperature no addition would ever be accepted.
+    for t0 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="initial_temperature must be finite"):
+            AnnealConfig(initial_temperature=t0)
 
 
 def test_sa_keeps_optimal_seed():
@@ -118,6 +122,5 @@ def test_sa_matches_reference_loop():
             max_epochs=rng.randint(0, 15),
         )
         seed = rng.randrange(10**6)
-        budget = Budget() if case % 2 else None
-        out = sa_solve(g, seed_solution, cfg, seed=seed, budget=budget)
+        out = sa_solve(g, seed_solution, cfg, seed=seed)
         assert out.members == reference_sa(g, seed_solution, cfg, seed), (case, cfg)

@@ -75,6 +75,15 @@ def test_oracle_output(tmp_path, capsys):
     assert len(lines[1].split()) == 2
 
 
+def test_oracle_refuses_more_than_24_vertices(tmp_path, capsys):
+    inst = tmp_path / "p25.ds"
+    inst.write_text("p ds 25 24\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 25)))
+    assert run_cli("oracle", str(inst)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: oracle limited to n <= 24")
+
+
 def test_gen_writes_parseable_instance(tmp_path, capsys):
     out = tmp_path / "g.ds"
     assert run_cli("gen", "--kind", "tree", "--n", "9", "--seed", "4", "--out", str(out)) == 0
@@ -123,6 +132,18 @@ def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
 def test_usage_errors_exit_2(capsys):
     assert run_cli("frobnicate") == 2
     assert run_cli("solve", "--algo", "nope") == 2
+
+
+def test_non_finite_solver_values_exit_2(tmp_path, capsys):
+    # A NaN budget would never fire and a NaN temperature would never
+    # accept an addition; both are usage errors.
+    inst = tmp_path / "star.ds"
+    inst.write_text(STAR5)
+    for flags in (("--time-budget", "nan"), ("--time-budget", "inf"), ("--sa-t0", "nan"), ("--sa-t0", "inf")):
+        assert run_cli("solve", str(inst), "--algo", "sa", *flags) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: "), flags
 
 
 def test_missing_file_exits_3(capsys):

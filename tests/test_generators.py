@@ -12,7 +12,7 @@ def is_connected(g) -> bool:
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        for x in g.neighbors(v):
+        for x in g.adj[v]:
             if x not in seen:
                 seen.add(x)
                 queue.append(x)
@@ -60,7 +60,7 @@ def test_star_forest_structure():
     # every component is a star: no vertex has two neighbors of degree > 1
     for v in range(g.n):
         if g.degree[v] > 1:
-            assert all(g.degree[x] == 1 for x in g.neighbors(v))
+            assert all(g.degree[x] == 1 for x in g.adj[v])
 
 
 def test_star_forest_produces_leaves_or_isolates():

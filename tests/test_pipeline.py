@@ -1,10 +1,24 @@
 import random
+import sys
 import threading
 import time
 
 import pytest
 
-from domset import AnnealConfig, Graph, SolverConfig, brute_force_optimum, gnp, solve, verify, write_solution
+import domset.pipeline
+from domset import (
+    ALGORITHMS,
+    AnnealConfig,
+    Budget,
+    Graph,
+    SolverConfig,
+    brute_force_optimum,
+    generate_instance,
+    gnp,
+    solve,
+    verify,
+    write_solution,
+)
 
 from conftest import path_graph, star_graph
 
@@ -43,6 +57,10 @@ def test_config_validation():
         SolverConfig(time_budget_ms=0)
     with pytest.raises(ValueError):
         SolverConfig(attempt_cap=0)
+    # A NaN deadline would never fire.
+    for ms in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="time_budget_ms must be finite"):
+            SolverConfig(time_budget_ms=ms)
 
 
 def test_every_algorithm_output_verifies():
@@ -145,6 +163,62 @@ def test_stop_during_a_running_solve_returns_within_5s(delay, stage):
     # stop during greedy skips prune and swap.
     stages = [t.stage for t in trace]
     assert stages[-2:] == [stage, "patch"], stages
+
+
+def _budget_tripping_at(k: int | None, pollers: list[str]) -> type:
+    """A Budget whose ``expired()`` records the name of the function that
+    polls it and reads true from its k-th call on (never for ``k=None``)."""
+
+    class TrippingBudget(Budget):
+        def expired(self) -> bool:
+            pollers.append(sys._getframe(1).f_code.co_name)
+            return k is not None and len(pollers) >= k
+
+    return TrippingBudget
+
+
+# The stage each polling function belongs to. solve polls once itself,
+# after greedy, to decide whether the improvement stage runs; a trip there
+# skips that stage, so greedy is the last one before the patch.
+POLLED_STAGE = {"lazy_greedy": "greedy", "solve": "greedy", "swap_phase": "swap", "sa_solve": "anneal"}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("gnp", {"n": 1500, "p": 0.004}),
+        ("tree", {"n": 1500}),
+        ("star-forest", {"n": 1500, "max_star": 6}),
+        ("grid", {"rows": 30, "cols": 50}),
+    ],
+)
+def test_a_stop_at_every_budget_poll_ends_the_polling_stage(monkeypatch, algo, kind, params):
+    # solve builds its Budget by the module-global name, so a substitute
+    # stops the run at an exact poll, whatever the host's speed.
+    g = generate_instance(kind, 13, **params)[0]
+    cfg = _cfg(algorithm=algo, attempt_cap=3, seed=4, anneal=AnnealConfig(max_epochs=3))
+    polls: list[str] = []
+    monkeypatch.setattr(domset.pipeline, "Budget", _budget_tripping_at(None, polls))
+    full_trace = []
+    solve(g, cfg, trace=full_trace)
+    full = [t.stage for t in full_trace]
+    # Every poller is known, and the improvement stage polls too (on trees
+    # and star forests hedom5's reductions leave greedy nothing to do).
+    assert set(polls) <= POLLED_STAGE.keys(), polls
+    assert {"hedom5": "swap_phase", "greedy": "solve", "sa": "sa_solve"}[algo] in polls, polls
+    for k in range(1, len(polls) + 1):
+        calls: list[str] = []
+        monkeypatch.setattr(domset.pipeline, "Budget", _budget_tripping_at(k, calls))
+        trace = []
+        sol = solve(g, cfg, trace=trace)
+        assert verify(g, sol).valid, k
+        assert calls[:k] == polls[:k], k
+        stage = POLLED_STAGE[calls[k - 1]]
+        assert [t.stage for t in trace] == full[: full.index(stage) + 1] + ["patch"], (k, calls[k - 1])
+        # The polling stage ends at once; at most solve's check after greedy
+        # or the annealing epoch loop's reads the budget once more.
+        assert len(calls) <= k + 1, calls[k - 1 :]
 
 
 def test_default_anneal_config_runs_attempt_counted():

@@ -3,14 +3,14 @@ from itertools import combinations
 
 from domset import Cover, Graph, add_to_d, apply_isolate_rule, apply_leaf_rule, compute_cover_counts, gnp, star_forest
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import closed_neighborhood, cycle_graph, path_graph, star_graph
 
 
 def recompute_counts(g: Graph, cover: Cover) -> list[int]:
     counts = [0] * g.n
     for v in range(g.n):
         if cover.in_set[v]:
-            for x in g.closed_neighborhood(v):
+            for x in closed_neighborhood(g, v):
                 counts[x] += 1
     return counts
 
@@ -156,7 +156,7 @@ def test_reductions_postconditions_on_random_graphs():
 
 def exhaustive_gamma(g: Graph, forced: tuple[int, ...] = ()) -> int:
     """Smallest dominating set containing all of ``forced``, by direct enumeration."""
-    closed = [set(g.closed_neighborhood(v)) for v in range(g.n)]
+    closed = [set(closed_neighborhood(g, v)) for v in range(g.n)]
     everything = set(range(g.n))
     rest = [v for v in range(g.n) if v not in forced]
     base = set()

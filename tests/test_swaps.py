@@ -22,6 +22,7 @@ from domset.swaps import SwapMove
 from conftest import (
     cycle_graph,
     eager_continuation,
+    is_redundant,
     path_graph,
     random_instance,
     random_partial_set,
@@ -73,9 +74,12 @@ def test_try_one_swap_matches_unfiltered_scan():
 def test_swap_budget_validation():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
-        swap_phase(compute_cover_counts(g, Solution.from_members(4, [0, 2])), attempt_cap=0)
+        swap_phase(compute_cover_counts(g, Solution.from_members(4, [0, 2])), attempt_cap=0, budget=Budget(), rng=random.Random(0))
     with pytest.raises(ValueError):
         Budget(-1.0)
+    for ms in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="budget must be finite"):
+            Budget(ms)
     assert not Budget(None).expired()  # attempt-counted mode
     assert Budget(0).expired()
 
@@ -132,11 +136,12 @@ def test_try_one_swap_exchange_on_cycle():
 
 
 def test_swap_phase_expired_budget_changes_nothing():
+    # Greedy's {0, 3, 5} plus a redundant 1: not even the entry prune runs.
     g = cycle_graph(8)
-    sol = greedy_ln(g)
+    sol = Solution.from_members(8, [*greedy_ln(g).members, 1])
     cover = compute_cover_counts(g, sol)
     before = list(sol.members)
-    swap_phase(cover, attempt_cap=10, budget=Budget(1e-9))
+    swap_phase(cover, attempt_cap=10, budget=Budget(1e-9), rng=random.Random(0))
     assert sol.members == before
 
 
@@ -144,27 +149,28 @@ def test_swap_phase_fixpoint_stops_early():
     g = star_graph(5)
     sol = Solution.from_members(6, [0])
     cover = compute_cover_counts(g, sol)
-    swap_phase(cover, attempt_cap=50, budget=Budget(None))
+    swap_phase(cover, attempt_cap=50, budget=Budget(None), rng=random.Random(0))
     assert sol.members == [0]
 
 
 def _assert_consistent(cover) -> None:
-    """What swap_phase keeps after every applied move and its prune: the
-    counts and the uncovered count equal a fresh recount, and no member is
-    redundant."""
+    """What swap_phase keeps from its entry prune on, after every applied
+    move and its prune: the counts and the uncovered count equal a fresh
+    recount, and no member is redundant."""
     fresh = compute_cover_counts(cover.g, cover.solution)
     assert cover.counts == fresh.counts, "incremental cover counts drifted"
     assert cover.uncovered == fresh.uncovered, "incremental uncovered count drifted"
-    assert not any(map(cover.is_redundant, cover.members)), "a redundant member survived the prune"
+    assert not any(is_redundant(cover, v) for v in cover.members), "a redundant member survived the prune"
 
 
 def _checked_swap_phase(monkeypatch, cover, **kwargs) -> None:
-    """Run swap_phase with every state after an applied move checked.
+    """Run swap_phase with the state after its entry prune and after every
+    applied move checked.
 
-    The state changes only through applied moves and the prunes that follow
-    them, so each such state is the one the next attempt, or the return of
-    swap_phase, sees."""
-    applied = False
+    After the entry prune the state changes only through applied moves and
+    the prunes that follow them, so each such state is the one the next
+    attempt, or the return of swap_phase, sees."""
+    applied = True  # the first attempt sees the entry prune's state
 
     def checked_try(c, w):
         nonlocal applied
@@ -187,7 +193,7 @@ def test_swap_phase_never_grows_and_stays_valid(monkeypatch):
         cover = compute_cover_counts(g, sol)
         backward_prune(cover)
         size_after_prune = len(sol)
-        _checked_swap_phase(monkeypatch, cover, attempt_cap=8, budget=Budget(None))
+        _checked_swap_phase(monkeypatch, cover, attempt_cap=8, budget=Budget(None), rng=random.Random(0))
         assert len(sol) <= size_after_prune
         assert verify(g, sol).valid
         assert cover.counts == compute_cover_counts(g, sol).counts
@@ -195,10 +201,10 @@ def test_swap_phase_never_grows_and_stays_valid(monkeypatch):
 
 def _reference_swap_phase(cover, attempt_cap: int, rng: random.Random) -> int:
     """The swap loop with the unfiltered exchange scan and a full backward
-    prune after every applied move. Returns how many members the prunes
-    after the first one removed."""
+    prune on entry and after every applied move. Returns how many members
+    the prunes after moves removed."""
+    backward_prune(cover)
     later_removed = 0
-    applied = 0
     for _ in range(attempt_cap):
         order = cover.in_order()
         rng.shuffle(order)
@@ -206,11 +212,9 @@ def _reference_swap_phase(cover, attempt_cap: int, rng: random.Random) -> int:
         for w in order:
             if cover.in_set[w] and reference_try_one_swap(cover, w) is not None:
                 changed = True
-                applied += 1
                 before = len(cover.members)
                 backward_prune(cover)
-                if applied > 1:
-                    later_removed += before - len(cover.members)
+                later_removed += before - len(cover.members)
         if not changed:
             break
     return later_removed
@@ -235,7 +239,7 @@ def test_local_prune_matches_full_prune_after_every_move(monkeypatch):
                 ref = compute_cover_counts(g, Solution.from_members(g.n, members))
                 later_removed += _reference_swap_phase(ref, 6, random.Random(seed))
                 cover = compute_cover_counts(g, Solution.from_members(g.n, members))
-                _checked_swap_phase(monkeypatch, cover, attempt_cap=6, rng=random.Random(seed))
+                _checked_swap_phase(monkeypatch, cover, attempt_cap=6, budget=Budget(), rng=random.Random(seed))
                 assert cover.members == ref.members, (i, seed)
                 assert cover.counts == ref.counts
                 assert cover.uncovered == ref.uncovered == 0

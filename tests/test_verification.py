@@ -5,12 +5,12 @@ import pytest
 
 from domset import Graph, Solution, add_to_d, brute_force_optimum, compute_cover_counts, gnp, greedy_ln, verify
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import closed_neighborhood, complete_graph, cycle_graph, path_graph, star_graph
 
 
 def exhaustive_gamma(g: Graph) -> int:
     """Independent oracle: minimum dominating set size by plain subset enumeration."""
-    closed = [set(g.closed_neighborhood(v)) for v in range(g.n)]
+    closed = [set(closed_neighborhood(g, v)) for v in range(g.n)]
     everything = set(range(g.n))
     for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
