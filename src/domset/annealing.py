@@ -72,10 +72,11 @@ def sa_solve(
 
     ``seed`` seeds the move rng; the draws consume it exactly as
     ``randrange`` would (see the module docstring). ``budget`` is polled
-    before every epoch and every 256 moves. Raises ValueError if a seed
-    member is out of range or the seed solution does not dominate. The
-    moves keep the incremental cover counts, which are checked once per
-    epoch.
+    every 256 moves from each epoch's first; the run ends at the poll that
+    finds it expired. Raises ValueError if a seed member is out of range or
+    the seed solution does not dominate. The moves keep the incremental
+    cover counts, which are checked at the end of every epoch, a cut-short
+    one included.
     """
     n = g.n
     for d in seed_solution.members:
@@ -101,11 +102,12 @@ def sa_solve(
     moves_per_epoch = cfg.moves_per_epoch if cfg.moves_per_epoch is not None else max(100, n)
     temperature = cfg.initial_temperature
 
-    epoch = 0
-    while epoch < cfg.max_epochs and not budget.expired():
+    expired = False
+    for _ in range(cfg.max_epochs):
         accept = math.exp(-1.0 / temperature)
         for step in range(moves_per_epoch):
             if (step & 255) == 0 and budget.expired():
+                expired = True
                 break
             r = rand()
             if r < _P_EXCHANGE:
@@ -163,6 +165,7 @@ def sa_solve(
                 cover.add(put)
         if 0 in counts:
             raise RuntimeError("internal error: annealing state lost domination")
+        if expired:
+            break
         temperature = decay(temperature, cfg)
-        epoch += 1
     return Solution.from_members(n, best)

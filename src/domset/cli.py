@@ -1,8 +1,9 @@
 """Command-line interface: solve / verify / oracle / gen / bench.
 
 Exit codes: 0 success, 1 invalid solution (verify), 2 usage error,
-3 unreadable or malformed input, 4 internal error (any other exception,
-such as MemoryError).
+3 unreadable or malformed input or unwritable output file, 4 internal
+error (any other exception, such as MemoryError). Only :func:`main` maps
+exceptions to them; the commands raise.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import json
 import signal
 import sys
 import threading
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .annealing import AnnealConfig
 from .bench import render_csv, run_bench
 from .generators import KINDS, generate_instance
 from .graph import ParseError, parse_ds, parse_solution, write_solution
@@ -35,40 +36,42 @@ def _read_input(path: str | None) -> bytes:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algo", choices=ALGORITHMS, default="hedom5", help="algorithm to run")
-    p.add_argument("--time-budget", type=float, default=10_000.0, metavar="MS", help="global time budget in milliseconds")
-    p.add_argument("--attempt-cap", type=int, default=20, metavar="N", help="swap phase sweep cap")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--sa-t0", type=float, default=1.0, metavar="T", help="annealing initial temperature")
-    p.add_argument("--sa-cool", type=float, default=0.995, metavar="F", help="annealing cooling factor per epoch")
-    p.add_argument("--sa-moves", type=int, default=None, metavar="N", help="annealing moves per epoch (default max(100, n))")
-    p.add_argument("--sa-epochs", type=int, default=200, metavar="N", help="annealing epoch cap")
-    p.add_argument("--no-wallclock", action="store_true", help="replace time budgets with attempt counts for reproducible runs")
+    # Each dest names a SolverConfig or AnnealConfig field (see _solver_config).
+    group = p.add_argument_group(
+        "solver options",
+        "a flag left out takes its SolverConfig or AnnealConfig default",
+        argument_default=argparse.SUPPRESS,
+    )
+    group.add_argument("--algo", dest="algorithm", choices=ALGORITHMS, help="algorithm to run")
+    group.add_argument("--time-budget", dest="time_budget_ms", type=float, metavar="MS", help="global time budget in milliseconds")
+    group.add_argument("--attempt-cap", type=int, metavar="N", help="swap phase sweep cap")
+    group.add_argument("--seed", type=int, help="RNG seed")
+    group.add_argument("--sa-t0", dest="initial_temperature", type=float, metavar="T", help="annealing initial temperature")
+    group.add_argument("--sa-cool", dest="cooling_factor", type=float, metavar="F", help="annealing cooling factor per epoch")
+    group.add_argument("--sa-moves", dest="moves_per_epoch", type=int, metavar="N", help="annealing moves per epoch")
+    group.add_argument("--sa-epochs", dest="max_epochs", type=int, metavar="N", help="annealing epoch cap")
+    group.add_argument("--no-wallclock", dest="wallclock", action="store_false", help="replace time budgets with attempt counts for reproducible runs")
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    anneal = AnnealConfig(
-        initial_temperature=args.sa_t0,
-        cooling_factor=args.sa_cool,
-        moves_per_epoch=args.sa_moves,
-        max_epochs=args.sa_epochs,
-    )
-    return SolverConfig(
-        algorithm=args.algo,
-        time_budget_ms=args.time_budget,
-        attempt_cap=args.attempt_cap,
-        seed=args.seed,
-        anneal=anneal,
-        wallclock=not args.no_wallclock,
-    )
+    given = vars(args)
+    cfg = SolverConfig(**{f.name: given[f.name] for f in fields(SolverConfig) if f.name in given})
+    anneal = {f.name: given[f.name] for f in fields(cfg.anneal) if f.name in given}
+    return replace(cfg, anneal=replace(cfg.anneal, **anneal))
+
+
+def _write_output(text: str, out: str | None) -> bool:
+    """Write ``text`` to file ``out``, or to stdout when ``out`` is None or
+    ``-``; True when a file was written."""
+    if out is None or out == "-":
+        sys.stdout.write(text)
+        return False
+    Path(out).write_text(text)
+    return True
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        g = parse_ds(_read_input(args.input))
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    g = parse_ds(_read_input(args.input))
     stop = threading.Event()
     previous = {}
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -90,12 +93,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = parse_ds(_read_input(args.graph))
-        sol = parse_solution(Path(args.solution).read_bytes(), g.n)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    g = parse_ds(_read_input(args.graph))
+    sol = parse_solution(Path(args.solution).read_bytes(), g.n)
     report = verify(g, sol)
     if report.valid:
         print(f"valid size={report.size}")
@@ -105,11 +104,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        g = parse_ds(_read_input(args.input))
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    g = parse_ds(_read_input(args.input))
     gamma, witness = brute_force_optimum(g)
     print(gamma)
     print(" ".join(str(v + 1) for v in sorted(witness)))
@@ -126,32 +121,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         cols=args.cols,
         max_star=args.max_star,
     )
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write_output(text, args.out)
     return EXIT_OK
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return EXIT_IO
+        raise NotADirectoryError(f"{directory} is not a directory")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    unknown = [a for a in algos if a not in ALGORITHMS]
-    if not algos or unknown:
-        print(f"error: bad algorithm list {args.algos!r}; choose from {','.join(ALGORITHMS)}", file=sys.stderr)
-        return EXIT_USAGE
+    if not algos or any(a not in ALGORITHMS for a in algos):
+        raise ValueError(f"bad algorithm list {args.algos!r}; choose from {','.join(ALGORITHMS)}")
     paths = sorted(directory.glob("*.ds"))
     if not paths:
         print(f"warning: no .ds instances found in {directory}", file=sys.stderr)
     records = run_bench(paths, algos, _solver_config(args), oracle_max_n=args.oracle_max_n, jobs=args.jobs)
-    csv_text = render_csv(records)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(csv_text)
-    else:
-        Path(args.out).write_text(csv_text)
+    if _write_output(render_csv(records), args.out):
         print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 
@@ -205,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except (ParseError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

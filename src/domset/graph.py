@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -250,27 +250,26 @@ def _parse_ds_bulk(data: bytes | str) -> Graph | None:
     return Graph.from_edges(n, ids.reshape(-1, 2))
 
 
-def _text(data: bytes | str) -> str:
-    """``data`` as text, decoding bytes as UTF-8."""
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(None, f"input is not valid text: {exc}") from None
+def _content_lines(data: bytes | str) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, tokens)`` for every line of ``data`` that is neither blank
+    nor a ``c`` comment, decoding bytes as UTF-8."""
+    if not isinstance(data, str):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(None, f"input is not valid text: {exc}") from None
+    for lineno, line in enumerate(data.splitlines(), 1):
+        parts = line.split()
+        if parts and parts[0][0] != "c":
+            yield lineno, parts
 
 
 def _parse_ds_lines(data: bytes | str) -> Graph:
     """The per-line reference parser behind :func:`parse_ds`."""
-    text = _text(data)
     n = -1
     declared_m = 0
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line[0] == "c":
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(data):
         if n < 0:
             n, declared_m = _read_header(parts, lineno)
             continue
@@ -307,14 +306,9 @@ def parse_solution(data: bytes | str, n: int) -> Solution:
     Accepts 'c' comments and blank lines; requires the declared size to
     match the number of vertex lines and every ID to be in 1..n, unique.
     """
-    text = _text(data)
     size = -1
     sol = Solution(n)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line[0] == "c":
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(data):
         if len(parts) != 1:
             raise ParseError(lineno, f"expected a single integer, got {len(parts)} tokens")
         try:

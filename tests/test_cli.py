@@ -2,8 +2,12 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass, field
 
-from domset import parse_ds
+import pytest
+
+import domset.cli
+from domset import AnnealConfig, SolverConfig, parse_ds
 from domset.cli import main
 
 STAR5 = "p ds 5 4\n1 2\n1 3\n1 4\n1 5\n"
@@ -197,3 +201,52 @@ def test_solve_deterministic_across_processes(tmp_path):
     first = subprocess.run(cmd, capture_output=True, text=True, check=True)
     second = subprocess.run(cmd, capture_output=True, text=True, check=True)
     assert first.stdout == second.stdout
+
+
+@dataclass
+class _OtherAnneal(AnnealConfig):
+    initial_temperature: float = 0.5
+
+
+@dataclass
+class _OtherSolver(SolverConfig):
+    attempt_cap: int = 7
+    anneal: AnnealConfig = field(default_factory=_OtherAnneal)
+
+
+def test_solver_flags_left_out_take_the_config_defaults(tmp_path, capsys, monkeypatch):
+    # The CLI holds no default of its own: with other dataclass defaults in
+    # place, a flag left out takes them, and a flag given overrides only
+    # its own field.
+    seen = []
+    real_solve = domset.cli.solve
+
+    def recording_solve(g, cfg, **kwargs):
+        seen.append(cfg)
+        return real_solve(g, cfg, **kwargs)
+
+    monkeypatch.setattr(domset.cli, "SolverConfig", _OtherSolver)
+    monkeypatch.setattr(domset.cli, "solve", recording_solve)
+    inst = tmp_path / "star.ds"
+    inst.write_text(STAR5)
+    assert run_cli("solve", str(inst)) == 0
+    assert run_cli("solve", str(inst), "--algo", "sa", "--seed", "5", "--sa-epochs", "3", "--no-wallclock") == 0
+    assert capsys.readouterr().out == "1\n1\n" * 2
+    assert seen == [
+        _OtherSolver(),
+        _OtherSolver(algorithm="sa", seed=5, wallclock=False, anneal=_OtherAnneal(max_epochs=3)),
+    ]
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_help_exits_0(command, capsys):
+    assert run_cli(command, "--help") == 0
+    assert "--sa-epochs" in capsys.readouterr().out
+
+
+def test_unwritable_output_exits_3(tmp_path, capsys):
+    assert run_cli("gen", "--kind", "tree", "--n", "5", "--out", str(tmp_path / "missing" / "g.ds")) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")

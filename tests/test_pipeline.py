@@ -216,9 +216,9 @@ def test_a_stop_at_every_budget_poll_ends_the_polling_stage(monkeypatch, algo, k
         assert calls[:k] == polls[:k], k
         stage = POLLED_STAGE[calls[k - 1]]
         assert [t.stage for t in trace] == full[: full.index(stage) + 1] + ["patch"], (k, calls[k - 1])
-        # The polling stage ends at once; at most solve's check after greedy
-        # or the annealing epoch loop's reads the budget once more.
-        assert len(calls) <= k + 1, calls[k - 1 :]
+        # The polling stage ends at the poll that trips. Only a trip in
+        # lazy_greedy is followed by one more poll: solve's own check.
+        assert calls[k:] == (["solve"] if calls[k - 1] == "lazy_greedy" else []), calls[k - 1 :]
 
 
 def test_default_anneal_config_runs_attempt_counted():
