@@ -10,6 +10,16 @@ redrawn while it is ``>= k``. That is the whole of ``Random.randrange(k)``
 for an int ``k > 0`` on CPython 3.10 to 3.13 (``_randbelow_with_getrandbits``),
 so the moves, and the set that comes back, are the ones the
 ``randrange`` calls gave, without its two Python-level frames per draw.
+
+An exchange draws the vertex to put in among the non-members next to the
+member ``out`` it takes out, without listing them. ``out`` is a member, so
+``counts[out]`` is 1 plus its number of member neighbours, and
+``k = len(adj[out]) + 1 - counts[out]`` counts the non-members in O(1);
+the draw ``i`` from ``k`` then picks the i-th non-member in ``adj[out]``,
+as an index into the list of them would.
+
+The budget is polled once per block of 256 moves, at moves 0, 256, 512,
+... of each epoch, so no move tests the step count.
 """
 
 from __future__ import annotations
@@ -28,6 +38,9 @@ TEMPERATURE_FLOOR = 1e-6
 # removal : exchange : addition proposal mix.
 _P_REMOVAL = 0.4
 _P_EXCHANGE = 0.8
+
+# Moves between two budget polls.
+_POLL_MOVES = 256
 
 
 @dataclass
@@ -71,12 +84,13 @@ def sa_solve(
     set seen.
 
     ``seed`` seeds the move rng; the draws consume it exactly as
-    ``randrange`` would (see the module docstring). ``budget`` is polled
-    every 256 moves from each epoch's first; the run ends at the poll that
-    finds it expired. Raises ValueError if a seed member is out of range or
-    the seed solution does not dominate. The moves keep the incremental
-    cover counts, which are checked at the end of every epoch, a cut-short
-    one included.
+    ``randrange`` would (see the module docstring); an exchange counts its
+    candidates as ``len(adj[out]) + 1 - counts[out]``, with no list.
+    ``budget`` is polled before each block of 256 moves, the first block
+    of an epoch included; the run ends at the poll that finds it expired.
+    Raises ValueError if a seed member is out of range or the seed solution
+    does not dominate. The moves keep the incremental cover counts, which
+    are checked at the end of every epoch, a cut-short one included.
     """
     n = g.n
     for d in seed_solution.members:
@@ -89,10 +103,15 @@ def sa_solve(
         return cover.solution
 
     # The cover's pick array: its order, kept by swap-with-last drops,
-    # drives the random picks.
+    # drives the random picks. size and bits follow len(cur) and change
+    # only when a removal or an addition is applied.
     cur = cover.members
     in_set = cover.in_set
     counts = cover.counts
+    add = cover.add
+    drop = cover.drop
+    size = len(cur)
+    bits = size.bit_length()
     best = list(cur)
     adj = g.adj
     rng = random.Random(seed)
@@ -105,64 +124,73 @@ def sa_solve(
     expired = False
     for _ in range(cfg.max_epochs):
         accept = math.exp(-1.0 / temperature)
-        for step in range(moves_per_epoch):
-            if (step & 255) == 0 and budget.expired():
+        for block in range(0, moves_per_epoch, _POLL_MOVES):
+            if budget.expired():
                 expired = True
                 break
-            r = rand()
-            if r < _P_EXCHANGE:
-                k = len(cur)
-                bits = k.bit_length()
-                i = getrandbits(bits)
-                while i >= k:
+            for _ in range(min(_POLL_MOVES, moves_per_epoch - block)):
+                r = rand()
+                if r < _P_EXCHANGE:
                     i = getrandbits(bits)
-                out = cur[i]
-                nb = adj[out]
-                if r < _P_REMOVAL:
-                    # Dropping out must leave all of N[out] dominated.
-                    if counts[out] < 2:
+                    while i >= size:
+                        i = getrandbits(bits)
+                    out = cur[i]
+                    nb = adj[out]
+                    if r < _P_REMOVAL:
+                        # Dropping out must leave all of N[out] dominated.
+                        if counts[out] < 2:
+                            continue
+                        for x in nb:
+                            if counts[x] < 2:
+                                break
+                        else:
+                            drop(out)
+                            size -= 1
+                            bits = size.bit_length()
+                            if size < len(best):
+                                best = list(cur)
                         continue
+                    # out is a member, so counts[out] is 1 plus its member
+                    # neighbours: k is its number of non-member neighbours.
+                    k = len(nb) + 1 - counts[out]
+                    if not k:
+                        continue
+                    kbits = k.bit_length()
+                    i = getrandbits(kbits)
+                    while i >= k:
+                        i = getrandbits(kbits)
+                    for put in nb:
+                        if not in_set[put]:
+                            if not i:
+                                break
+                            i -= 1
+                    # put must dominate every vertex that only out dominates:
+                    # out itself is a neighbor of put, and any other such x
+                    # must be put or adjacent to it. Only those x are tested,
+                    # each by one lookup in put's neighbour tuple.
+                    near = adj[put]
                     for x in nb:
-                        if counts[x] < 2:
+                        if counts[x] == 1 and x != put and x not in near:
                             break
                     else:
-                        cover.drop(out)
-                        if len(cur) < len(best):
-                            best = list(cur)
+                        drop(out)
+                        add(put)
                     continue
-                cands = [t for t in nb if not in_set[t]]
-                if not cands:
+                # Addition: up to 8 draws for a non-member.
+                if size == n:
                     continue
-                k = len(cands)
-                bits = k.bit_length()
-                i = getrandbits(bits)
-                while i >= k:
-                    i = getrandbits(bits)
-                put = cands[i]
-                # put must dominate every vertex that only out dominates:
-                # out itself is a neighbor of put, and any other such x
-                # must be put or adjacent to it. Only those x are tested,
-                # each by one lookup in its neighbour tuple.
-                for x in nb:
-                    if counts[x] == 1 and x != put and put not in adj[x]:
+                for _ in range(8):
+                    put = getrandbits(n_bits)
+                    while put >= n:
+                        put = getrandbits(n_bits)
+                    if not in_set[put]:
                         break
                 else:
-                    cover.drop(out)
-                    cover.add(put)
-                continue
-            # Addition: up to 8 draws for a non-member.
-            if len(cur) == n:
-                continue
-            for _ in range(8):
-                put = getrandbits(n_bits)
-                while put >= n:
-                    put = getrandbits(n_bits)
-                if not in_set[put]:
-                    break
-            else:
-                continue
-            if rand() < accept:
-                cover.add(put)
+                    continue
+                if rand() < accept:
+                    add(put)
+                    size += 1
+                    bits = size.bit_length()
         if 0 in counts:
             raise RuntimeError("internal error: annealing state lost domination")
         if expired:

@@ -35,14 +35,16 @@ def _read_input(path: str | None) -> bytes:
     return Path(path).read_bytes()
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_solver_flags(p: argparse.ArgumentParser, *, algo: bool) -> None:
     # Each dest names a SolverConfig or AnnealConfig field (see _solver_config).
+    # bench takes its algorithms from --algos, so only solve has --algo.
     group = p.add_argument_group(
         "solver options",
         "a flag left out takes its SolverConfig or AnnealConfig default",
         argument_default=argparse.SUPPRESS,
     )
-    group.add_argument("--algo", dest="algorithm", choices=ALGORITHMS, help="algorithm to run")
+    if algo:
+        group.add_argument("--algo", dest="algorithm", choices=ALGORITHMS, help="algorithm to run")
     group.add_argument("--time-budget", dest="time_budget_ms", type=float, metavar="MS", help="global time budget in milliseconds")
     group.add_argument("--attempt-cap", type=int, metavar="N", help="swap phase sweep cap")
     group.add_argument("--seed", type=int, help="RNG seed")
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a .ds instance and print the solution")
     p_solve.add_argument("input", nargs="?", default=None, help=".ds file (default: stdin)")
-    _add_solver_flags(p_solve)
+    _add_solver_flags(p_solve, algo=True)
     p_solve.add_argument("--trace", action="store_true", help="emit per-stage JSON lines on stderr")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -171,10 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default=None, help="output file (default: stdout)")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="run an algorithm matrix over a corpus directory")
+    # No abbreviations: --algo would otherwise be taken for --algos.
+    p_bench = sub.add_parser("bench", help="run an algorithm matrix over a corpus directory", allow_abbrev=False)
     p_bench.add_argument("--dir", required=True, help="directory of .ds instances")
     p_bench.add_argument("--algos", default="greedy,sa,hedom5", help="comma-separated algorithm list")
-    _add_solver_flags(p_bench)
+    _add_solver_flags(p_bench, algo=False)
     p_bench.add_argument("--oracle-max-n", type=int, default=0, metavar="N", help="fill opt/gap columns for instances up to this size")
     p_bench.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_bench.add_argument("--out", default=None, help="CSV output file (default: stdout)")

@@ -26,13 +26,16 @@ class Cover:
     pick array: ``members[pos[v]] == v``, and a drop moves the last member
     into the freed slot, so both moves are O(deg). Insertion order, which
     the prune and the swap sweeps read, is kept apart as a per-vertex stamp
-    and read back by :meth:`in_order`.
+    and read back by :meth:`in_order`. ``adj`` is the graph's own
+    neighbour tuple list (``g.adj``, not a copy), held so that a move reads
+    ``N(v)`` with one attribute lookup.
     """
 
-    __slots__ = ("g", "solution", "in_set", "members", "counts", "uncovered", "pos", "stamp", "clock")
+    __slots__ = ("g", "adj", "solution", "in_set", "members", "counts", "uncovered", "pos", "stamp", "clock")
 
     def __init__(self, g: Graph, solution: Solution, counts: list[int]) -> None:
         self.g = g
+        self.adj = g.adj
         self.solution = solution
         self.in_set = solution.in_set
         self.members = solution.members
@@ -56,7 +59,7 @@ class Cover:
         counts = self.counts
         newly = 0 if counts[v] else 1
         counts[v] += 1
-        for x in self.g.adj[v]:
+        for x in self.adj[v]:
             c = counts[x]
             counts[x] = c + 1
             if not c:
@@ -77,7 +80,7 @@ class Cover:
         counts = self.counts
         counts[v] -= 1
         lost = 0 if counts[v] else 1
-        for x in self.g.adj[v]:
+        for x in self.adj[v]:
             c = counts[x] - 1
             counts[x] = c
             if not c:
@@ -92,7 +95,7 @@ class Cover:
         """Vertices in N[v] that member ``v`` is the only dominator of."""
         counts = self.counts
         out = [v] if counts[v] == 1 else []
-        for x in self.g.adj[v]:
+        for x in self.adj[v]:
             if counts[x] == 1:
                 out.append(x)
         return out

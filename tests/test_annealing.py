@@ -1,7 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import domset.annealing
 from domset import (
     AnnealConfig,
     Budget,
@@ -124,3 +126,84 @@ def test_sa_matches_reference_loop():
         seed = rng.randrange(10**6)
         out = sa_solve(g, seed_solution, cfg, seed=seed)
         assert out.members == reference_sa(g, seed_solution, cfg, seed), (case, cfg)
+
+
+class _MoveCountingRandom(random.Random):
+    """Counts the draws that open a move. Only an addition proposal makes a
+    second ``random()`` draw, its acceptance test, and only after its last
+    vertex draw found a non-member of ``in_set``."""
+
+    def __init__(self, seed, in_set):
+        super().__init__(seed)
+        self.in_set = in_set
+        self.moves = 0
+        self.adding = False
+        self.last = None
+
+    def random(self):
+        acceptance = self.adding and self.last is not None and not self.in_set[self.last]
+        value = super().random()
+        self.adding = False
+        if not acceptance:
+            self.moves += 1
+            self.adding = value >= domset.annealing._P_EXCHANGE
+            self.last = None
+        return value
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        if self.adding:
+            self.last = value
+        return value
+
+
+class _PollRecordingBudget(Budget):
+    """Records the move count at each poll; expires at poll ``trip`` (1-based)."""
+
+    def __init__(self, trip=None):
+        super().__init__()
+        self.trip = trip
+        self.rng = None
+        self.polls = []
+
+    def expired(self):
+        self.polls.append(self.rng.moves)
+        return len(self.polls) == self.trip
+
+
+@pytest.mark.parametrize("moves_per_epoch", [1, 255, 256, 257, 600])
+def test_sa_polls_its_budget_every_256_moves(monkeypatch, moves_per_epoch):
+    # The budget is polled before each epoch's first move and then after
+    # every 256 moves of the epoch, and a run that finds it expired makes
+    # no further move.
+    g = gnp(300, 0.03, seed=4)
+    seed_solution = greedy_ln(g)
+    epochs = 3
+    cfg = AnnealConfig(moves_per_epoch=moves_per_epoch, max_epochs=epochs)
+    expected = [e * moves_per_epoch + b for e in range(epochs) for b in range(0, moves_per_epoch, 256)]
+    covers = []
+    real_cover_counts = domset.annealing.compute_cover_counts
+
+    def recording_cover_counts(*args):
+        covers.append(real_cover_counts(*args))
+        return covers[-1]
+
+    monkeypatch.setattr(domset.annealing, "compute_cover_counts", recording_cover_counts)
+    for trip in (None, 1, 2, len(expected)):
+        budget = _PollRecordingBudget(trip)
+
+        def counting_random(seed):
+            budget.rng = _MoveCountingRandom(seed, covers[-1].in_set)
+            return budget.rng
+
+        monkeypatch.setattr(domset.annealing, "random", SimpleNamespace(Random=counting_random))
+        out = sa_solve(g, seed_solution, cfg, seed=9, budget=budget)
+        assert verify(g, out).valid
+        if trip is None:
+            assert budget.polls == expected
+            assert budget.rng.moves == epochs * moves_per_epoch
+            gaps = [b - a for a, b in zip(budget.polls, budget.polls[1:] + [budget.rng.moves])]
+            assert max(gaps) <= 256
+        else:
+            assert budget.polls == expected[:trip]
+            assert budget.rng.moves == budget.polls[-1]

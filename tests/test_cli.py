@@ -133,6 +133,19 @@ def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
     assert run_cli("bench", "--dir", str(corpus), "--algos", "greedy,quantum") == 2
 
 
+def test_bench_has_no_algo_flag(tmp_path, capsys):
+    # bench runs every algorithm in --algos, so an --algo it would ignore
+    # is a usage error.
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    run_cli("gen", "--kind", "gnp", "--n", "14", "--p", "0.3", "--out", str(corpus / "g.ds"))
+    capsys.readouterr()
+    assert run_cli("bench", "--dir", str(corpus), "--algo", "sa", "--algos", "greedy", "--no-wallclock") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--algo" in captured.err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli("frobnicate") == 2
     assert run_cli("solve", "--algo", "nope") == 2

@@ -23,6 +23,13 @@ def dominated(cover: Cover) -> list[bool]:
     return [c > 0 for c in cover.counts]
 
 
+def assert_member_counts(g: Graph, cover: Cover) -> None:
+    # A member dominates itself, so its count is 1 plus its member
+    # neighbours; annealing reads its non-member neighbours off this.
+    for v in cover.members:
+        assert cover.counts[v] - 1 == sum(cover.in_set[x] for x in g.adj[v])
+
+
 def test_add_to_d_star_center():
     g = star_graph(3)
     state = compute_cover_counts(g)
@@ -54,6 +61,7 @@ def test_add_to_d_bookkeeping_matches_recomputation():
     for _ in range(30):
         g = gnp(rng.randint(1, 15), rng.random(), rng.randrange(10**6))
         state = compute_cover_counts(g)
+        assert state.adj is g.adj
         inserted = []  # insertion order, kept by hand
         for _ in range(rng.randint(0, g.n)):
             v = rng.randrange(g.n)
@@ -62,6 +70,7 @@ def test_add_to_d_bookkeeping_matches_recomputation():
             add_to_d(state, v)
             assert dominated(state) == recompute_dominated(g, state)
             assert state.uncovered == dominated(state).count(False)
+            assert_member_counts(g, state)
         # Random drops and re-adds through Cover.drop / Cover.add must agree
         # with a from-scratch recount after every step, and keep the member
         # list, its position index and its insertion order in step.
@@ -79,6 +88,7 @@ def test_add_to_d_bookkeeping_matches_recomputation():
             assert set(state.members) == {x for x in range(g.n) if state.in_set[x]}
             assert all(state.members[state.pos[x]] == x for x in state.members)
             assert state.in_order() == inserted
+            assert_member_counts(g, state)
 
 
 def test_isolate_rule_all_isolates():
