@@ -52,7 +52,7 @@ def _run_one(task: tuple[str, str, SolverConfig, int]) -> BenchRecord:
     ms = (time.perf_counter() - start) * 1000.0
     valid = verify(g, sol).valid
     opt = gap = None
-    if valid and oracle_max_n > 0 and g.n <= min(oracle_max_n, ORACLE_MAX_N):
+    if valid and g.n <= min(oracle_max_n, ORACLE_MAX_N):
         opt, _ = brute_force_optimum(g)
         gap = len(sol) - opt
     # Wall times are unreproducible, so attempt-counted mode drops them.
@@ -71,6 +71,10 @@ def run_bench(
     ``jobs > 1`` fans the (instance, algorithm) tasks out to a process
     pool; results come back in submission order either way.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if oracle_max_n < 0:
+        raise ValueError(f"oracle_max_n must be non-negative, got {oracle_max_n}")
     tasks = [(str(path), algo, cfg, oracle_max_n) for path in paths for algo in algos]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

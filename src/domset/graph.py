@@ -9,6 +9,7 @@ boundary.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator
@@ -159,76 +160,87 @@ class Solution:
 MAX_VERTICES = 2**31 - 1
 """Largest vertex count a .ds header may declare; a larger one is a ParseError."""
 
-# A plainly well-formed edge section holds these bytes only; a line before
-# it (comment or header) qualifies for the bulk path with printable ASCII
-# and tabs, where bytes and text split and strip alike.
+# One line and its end, which is "\r\n" or one of the other characters that
+# str.splitlines breaks at, or the end of the text.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)")
+# A plainly well-formed edge section holds these bytes only.
 _EDGE_BYTES = b"0123456789 \n"
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t"
 # Longer tokens (leading zeros) are read line by line, so no int64 overflows.
 _MAX_TOKEN = 18
 
 
 def parse_ds(data: bytes | str) -> Graph:
     """Parse a .ds instance: 'c' comment lines, one 'p ds <n> <m>' header,
-    then <m> whitespace-separated edge lines with 1-indexed endpoints.
+    then <m> whitespace-separated edge lines with 1-indexed endpoints; every
+    integer is ASCII digits after an optional '+'.
 
     Comments and blank lines are tolerated anywhere; any deviation from the
     grammar, or ``n`` above :data:`MAX_VERTICES`, raises :class:`ParseError`
     naming the offending line. An edge section of ASCII digits, spaces and
     newlines only, with two in-range IDs on every non-blank line, is read in
-    bulk with numpy; any other input is read line by line, which accepts and
+    bulk with numpy; any other is read line by line, which accepts and
     rejects exactly the same inputs, so every error still names its line.
     """
-    g = _parse_ds_bulk(data)
-    return g if g is not None else _parse_ds_lines(data)
+    text = _decode(data)
+    g = _parse_ds_bulk(text)
+    return g if g is not None else _parse_ds_lines(text)
 
 
-def _read_header(parts: list[str], lineno: int) -> tuple[int, int]:
-    """``(n, m)`` from the split header line."""
+def _decode(data: bytes | str) -> str:
+    """``data`` as text, decoding bytes as UTF-8."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(None, f"input is not valid text: {exc}") from None
+
+
+def _read_int(token: str, lineno: int) -> int:
+    """The value of ``token``, which must be ASCII digits after an optional
+    ``+``; ``int()`` alone would also take ``1_0`` and non-ASCII digits."""
+    digits = token.removeprefix("+")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(lineno, f"expected an integer of ASCII digits, got {token[:20]!r}")
+
+
+def _read_header(text: str) -> tuple[int, int, int, int]:
+    """``(n, m, lineno, end)`` of the header, the first line that is
+    neither blank nor a ``c`` comment; ``end`` is the offset where the edge
+    section starts. Lines end where :meth:`str.splitlines` ends them."""
+    for lineno, line in enumerate(_LINE.finditer(text), 1):
+        parts = line[1].split()
+        if parts and parts[0][0] != "c":
+            break
+    else:
+        raise ParseError(None, "missing 'p ds <n> <m>' header")
     if len(parts) != 4 or parts[0] != "p" or parts[1] != "ds":
         raise ParseError(lineno, "expected header 'p ds <n> <m>'")
-    try:
-        n = int(parts[2])
-        declared_m = int(parts[3])
-    except ValueError:
-        raise ParseError(lineno, "non-numeric header field") from None
+    n = _read_int(parts[2], lineno)
+    declared_m = _read_int(parts[3], lineno)
     if n < 1:
         raise ParseError(lineno, f"vertex count must be at least 1, got {n}")
     if n > MAX_VERTICES:
         raise ParseError(lineno, f"vertex count {n} exceeds the maximum {MAX_VERTICES}")
-    if declared_m < 0:
-        raise ParseError(lineno, f"edge count must be non-negative, got {declared_m}")
-    return n, declared_m
+    return n, declared_m, lineno, line.end()
 
 
 def _parse_ds_bulk(data: bytes | str) -> Graph | None:
-    """The graph of a plainly well-formed instance, or None for any input
-    the per-line parser must judge."""
-    if isinstance(data, str):
-        if not data.isascii():
-            return None
-        data = data.encode("ascii")
-    elif not isinstance(data, bytes):
-        return None
-    start = 0
-    while True:
-        if start > len(data):
-            return None
-        end = data.find(b"\n", start)
-        if end < 0:
-            end = len(data)
-        line = data[start:end]
-        start = end + 1
-        if line.translate(None, _PLAIN_BYTES):
-            return None
-        parts = line.decode("ascii").split()
-        if parts and parts[0][0] != "c":
-            break
+    """The graph of an instance with a plainly well-formed edge section, or
+    None for any input the per-line parser must judge."""
     try:
-        n, declared_m = _read_header(parts, 0)
+        text = _decode(data)
+        n, declared_m, _, end = _read_header(text)
     except ParseError:
         return None
-    body = data[start:]
+    # Each non-ASCII character becomes one b"?", which keeps the offsets and
+    # fails the byte check.
+    body = text.encode("ascii", "replace")[end:]
     if body.translate(None, _EDGE_BYTES):
         return None
     if declared_m == 0:
@@ -250,15 +262,10 @@ def _parse_ds_bulk(data: bytes | str) -> Graph | None:
     return Graph.from_edges(n, ids.reshape(-1, 2))
 
 
-def _content_lines(data: bytes | str) -> Iterator[tuple[int, list[str]]]:
-    """``(lineno, tokens)`` for every line of ``data`` that is neither blank
-    nor a ``c`` comment, decoding bytes as UTF-8."""
-    if not isinstance(data, str):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(None, f"input is not valid text: {exc}") from None
-    for lineno, line in enumerate(data.splitlines(), 1):
+def _content_lines(text: str, lineno: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, tokens)`` for every line of ``text`` that is neither blank
+    nor a ``c`` comment, numbering its first line ``lineno + 1``."""
+    for lineno, line in enumerate(text.splitlines(), lineno + 1):
         parts = line.split()
         if parts and parts[0][0] != "c":
             yield lineno, parts
@@ -266,27 +273,18 @@ def _content_lines(data: bytes | str) -> Iterator[tuple[int, list[str]]]:
 
 def _parse_ds_lines(data: bytes | str) -> Graph:
     """The per-line reference parser behind :func:`parse_ds`."""
-    n = -1
-    declared_m = 0
+    text = _decode(data)
+    n, declared_m, lineno, end = _read_header(text)
     edges: list[tuple[int, int]] = []
-    for lineno, parts in _content_lines(data):
-        if n < 0:
-            n, declared_m = _read_header(parts, lineno)
-            continue
+    for lineno, parts in _content_lines(text[end:], lineno):
         if len(edges) >= declared_m:
             raise ParseError(lineno, f"more edge lines than the declared {declared_m}")
         if len(parts) != 2:
             raise ParseError(lineno, f"expected edge line '<u> <v>', got {len(parts)} tokens")
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise ParseError(lineno, "non-numeric edge token") from None
+        u, v = (_read_int(token, lineno) for token in parts)
         if not 1 <= u <= n or not 1 <= v <= n:
             raise ParseError(lineno, f"vertex ID out of range 1..{n}")
         edges.append((u - 1, v - 1))
-    if n < 0:
-        raise ParseError(None, "missing 'p ds <n> <m>' header")
     if len(edges) < declared_m:
         raise ParseError(None, f"declared {declared_m} edges but found only {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -308,16 +306,11 @@ def parse_solution(data: bytes | str, n: int) -> Solution:
     """
     size = -1
     sol = Solution(n)
-    for lineno, parts in _content_lines(data):
+    for lineno, parts in _content_lines(_decode(data)):
         if len(parts) != 1:
             raise ParseError(lineno, f"expected a single integer, got {len(parts)} tokens")
-        try:
-            value = int(parts[0])
-        except ValueError:
-            raise ParseError(lineno, "non-numeric token") from None
+        value = _read_int(parts[0], lineno)
         if size < 0:
-            if value < 0:
-                raise ParseError(lineno, f"solution size must be non-negative, got {value}")
             size = value
             continue
         if len(sol) >= size:

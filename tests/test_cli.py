@@ -146,6 +146,18 @@ def test_bench_has_no_algo_flag(tmp_path, capsys):
     assert "--algo" in captured.err
 
 
+@pytest.mark.parametrize("flags", [("--jobs", "0"), ("--jobs", "-3"), ("--oracle-max-n", "-1")])
+def test_bench_rejects_bad_jobs_or_oracle_limit(tmp_path, capsys, flags):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    run_cli("gen", "--kind", "gnp", "--n", "14", "--p", "0.3", "--out", str(corpus / "g.ds"))
+    capsys.readouterr()
+    assert run_cli("bench", "--dir", str(corpus), "--algos", "greedy", "--no-wallclock", *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli("frobnicate") == 2
     assert run_cli("solve", "--algo", "nope") == 2
@@ -172,6 +184,18 @@ def test_parse_error_exits_3_with_line_number(tmp_path, capsys):
     inst = tmp_path / "bad.ds"
     inst.write_text("p ds 3 1\n1 9\n")
     assert run_cli("solve", str(inst)) == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_integer_that_is_not_ascii_digits_exits_3(tmp_path, capsys):
+    inst = tmp_path / "g.ds"
+    inst.write_text("p ds 12 1\n1_0 2\n")
+    assert run_cli("solve", str(inst)) == 3
+    assert "line 2" in capsys.readouterr().err
+    inst.write_text(STAR5)
+    sol = tmp_path / "g.sol"
+    sol.write_text("1\n٢\n", encoding="utf-8")
+    assert run_cli("verify", str(inst), str(sol)) == 3
     assert "line 2" in capsys.readouterr().err
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -62,6 +63,15 @@ def test_parse_is_deterministic():
         ("1 2\n", 1),
         ("p ds 2147483648 0\n", 1),
         ("c comment\r\np ds 100000000000 0\r\n", 2),
+        # int() takes underscores and non-ASCII digits; integers here are
+        # ASCII digits after an optional '+'.
+        ("c x\np ds 1_0 0\n", 2),
+        ("p ds 12 ٣\n", 1),
+        ("p ds 12 2\n1 2\n\n٢ 3\n", 4),
+        ("p ds 12 1\n1 1_0\n", 2),
+        ("p ds 12 1\n٣ 1\n", 2),
+        ("p ds 5 -0\n", 1),
+        ("p ds 12 1\n++1 2\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -291,3 +301,64 @@ def test_parse_ds_matches_line_parser_under_mutation():
     # Acceptance, rejection and the bulk path must each be well represented
     # for the comparison to mean anything.
     assert min(outcomes.values()) > 500, outcomes
+
+
+@pytest.mark.parametrize("token", ["1_0", "٣", "٢", "-0", "+"])
+def test_solution_integers_other_than_ascii_digits_are_rejected_at_their_line(token):
+    for text, line in ((f"{token}\n", 1), (f"c x\n1\n{token}\n", 3)):
+        for data in (text, text.encode()):
+            with pytest.raises(ParseError) as excinfo:
+                parse_solution(data, 12)
+            assert excinfo.value.line == line, text
+
+
+def test_plus_sign_and_leading_zeros_are_accepted():
+    g = parse_ds("p ds +05 002\n+1 0002\n005 +4\n")
+    assert (g.n, g.m) == (5, 2)
+    assert g.adj == [(1,), (0,), (), (4,), (3,)]
+    assert parse_ds(b"p ds 3 1\n01 +3\n") == parse_ds("p ds 3 1\n1 3\n")
+    assert parse_solution("+02\n003\n+1\n", 3).members == [2, 0]
+
+
+def test_token_longer_than_int_converts_is_a_parse_error():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("int() converts strings of any length here")
+    with pytest.raises(ParseError) as excinfo:
+        parse_ds("p ds 3 1\n1 " + "0" * limit + "2\n")
+    assert excinfo.value.line == 2
+
+
+_SPLITLINES_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _SPLITLINES_BREAKS)
+def test_header_reader_splits_lines_where_splitlines_does(brk):
+    from domset.graph import _read_header
+
+    assert ("a" + brk + "b").splitlines() == ["a", "b"]
+    # \x1f and \t are whitespace to str.split but end no line.
+    text = brk.join(["c one\x1fp ds 9 9", "", "  \t", "c two", "p ds 3 1", "1 2", ""])
+    n, m, lineno, end = _read_header(text)
+    assert (n, m, lineno) == (3, 1, text.splitlines().index("p ds 3 1") + 1) == (3, 1, 5)
+    assert text[end:].splitlines() == text.splitlines()[lineno:] == ["1 2"]
+    assert parse_ds(text).m == 1
+    with pytest.raises(ParseError) as excinfo:
+        parse_ds(brk.join(["c", "", "p ds 0 0"]))
+    assert excinfo.value.line == 3
+    with pytest.raises(ParseError) as excinfo:
+        parse_ds(brk.join(["p ds 3 1", "c", "1 7"]))
+    assert excinfo.value.line == 3
+
+
+def test_non_ascii_comment_before_the_header_keeps_the_bulk_path():
+    from domset.graph import _parse_ds_bulk, _parse_ds_lines
+
+    text = "c graphe généré — ünïcode c second line\np ds 4 3\n1 2\n2 3\n3 4\n"
+    for data in (text, text.encode()):
+        g = _parse_ds_bulk(data)
+        assert g is not None
+        assert g == _parse_ds_lines(data) == parse_ds(data) == parse_ds("p ds 4 3\n1 2\n2 3\n3 4\n")
+    # A non-ASCII character in the edge section still takes the per-line path.
+    assert _parse_ds_bulk(text + "c é\n") is None
+    assert parse_ds(text + "c é\n") == parse_ds(text)

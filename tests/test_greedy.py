@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -245,3 +246,41 @@ def test_lazy_greedy_stop_after_k_picks_ends_within_a_poll_batch(monkeypatch, k)
         recount = compute_cover_counts(g, Solution.from_members(g.n, cover.members))
         assert cover.counts == recount.counts
         assert cover.uncovered == recount.uncovered > 0
+
+
+class _VisitRecordingBudget(Budget):
+    """Records lazy_greedy's bucket visit count at each poll; never expires."""
+
+    def __init__(self):
+        super().__init__()
+        self.polls = []
+
+    def expired(self):
+        self.polls.append(sys._getframe(1).f_locals["visits"])
+        return False
+
+
+def test_lazy_greedy_polls_before_its_first_visit_then_every_poll_batch_visits():
+    rng = random.Random(31)
+    graphs = (gnp(3000, 6 / 2999, seed=12), _equal_stars(400, 5), _clique_cluster_graph(rng, 2000))
+    for g in graphs:
+        totals = []
+
+        def on_return(frame, event, arg):
+            if event == "return" and frame.f_code is lazy_greedy.__code__:
+                totals.append(frame.f_locals["visits"])
+
+        budget = _VisitRecordingBudget()
+        cover = compute_cover_counts(g)
+        sys.setprofile(on_return)
+        try:
+            lazy_greedy(cover, budget)
+        finally:
+            sys.setprofile(None)
+        (visits,) = totals
+        assert cover.uncovered == 0
+        assert len(cover.members) <= visits
+        # A poll before visits 0, POLL_BATCH, 2 * POLL_BATCH, ...: none is
+        # missing and none comes in between.
+        assert budget.polls == list(range(0, visits, POLL_BATCH))
+        assert len(budget.polls) > 2

@@ -17,6 +17,7 @@ from domset import (
     verify,
 )
 import domset.swaps
+from domset.state import POLL_BATCH
 from domset.swaps import SwapMove
 
 from conftest import (
@@ -151,6 +152,51 @@ def test_swap_phase_fixpoint_stops_early():
     cover = compute_cover_counts(g, sol)
     swap_phase(cover, attempt_cap=50, budget=Budget(None), rng=random.Random(0))
     assert sol.members == [0]
+
+
+class _AttemptRecordingBudget(Budget):
+    """Records how many members had been attempted at each poll; never expires."""
+
+    def __init__(self, attempts):
+        super().__init__()
+        self.attempts = attempts
+        self.polls = []
+
+    def expired(self):
+        self.polls.append(len(self.attempts))
+        return False
+
+
+def test_swap_phase_polls_within_a_poll_batch_of_attempted_work(monkeypatch):
+    # Each attempt on member w costs about deg(w) + 1. Between two polls,
+    # and after the last one, the attempted members weigh less than
+    # POLL_BATCH plus the weight of the first of them, the member whose
+    # weight brought on the poll.
+    attempts = []
+
+    def recording_try(cover, w):
+        attempts.append(w)
+        return try_one_swap(cover, w)
+
+    monkeypatch.setattr(domset.swaps, "try_one_swap", recording_try)
+    graphs = (
+        gnp(1500, 8 / 1499, seed=5),
+        generate_instance("grid", 3, rows=30, cols=50)[0],
+        generate_instance("star-forest", 3, n=1500, max_star=150)[0],
+    )
+    heaviest = 0
+    for g in graphs:
+        attempts.clear()
+        budget = _AttemptRecordingBudget(attempts)
+        swap_phase(compute_cover_counts(g, greedy_ln(g)), attempt_cap=3, budget=budget, rng=random.Random(2))
+        assert budget.polls[0] == 0 and len(budget.polls) > 3
+        weight = [g.degree[w] + 1 for w in attempts]
+        ends = budget.polls[1:] + [len(attempts)]
+        for start, end in zip(budget.polls, ends):
+            assert sum(weight[start + 1 : end]) < POLL_BATCH, (start, end)
+        heaviest = max(heaviest, *weight)
+    # The star centres alone outweigh a batch.
+    assert heaviest > POLL_BATCH
 
 
 def _assert_consistent(cover) -> None:
