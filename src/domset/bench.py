@@ -68,8 +68,9 @@ def run_bench(
 ) -> list[BenchRecord]:
     """Run every algorithm on every instance, in deterministic row order.
 
-    ``jobs > 1`` fans the (instance, algorithm) tasks out to a process
-    pool; results come back in submission order either way.
+    ``jobs > 1`` fans the (instance, algorithm) tasks out to a pool of at
+    most one process per task; results come back in submission order
+    either way.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -77,7 +78,7 @@ def run_bench(
         raise ValueError(f"oracle_max_n must be non-negative, got {oracle_max_n}")
     tasks = [(str(path), algo, cfg, oracle_max_n) for path in paths for algo in algos]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(_run_one, tasks, chunksize=4))
     return [_run_one(task) for task in tasks]
 

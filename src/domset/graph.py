@@ -124,12 +124,8 @@ class Solution:
     def from_members(cls, n: int, members: Iterable[int]) -> "Solution":
         sol = cls(n)
         for v in members:
-            if not 0 <= v < n:
-                raise ValueError(f"member {v} out of range 0..{n - 1}")
-            if sol.in_set[v]:
+            if not sol.add(v):
                 raise ValueError(f"duplicate member {v}")
-            sol.members.append(v)
-            sol.in_set[v] = True
         return sol
 
     @property
@@ -137,7 +133,10 @@ class Solution:
         return len(self.in_set)
 
     def add(self, v: int) -> bool:
-        """Append ``v`` unless already present; returns True when added."""
+        """Append ``v`` unless already present; returns True when added.
+        Raises ValueError for an ID outside 0..n-1."""
+        if not 0 <= v < len(self.in_set):
+            raise ValueError(f"member {v} out of range 0..{len(self.in_set) - 1}")
         if self.in_set[v]:
             return False
         self.members.append(v)

@@ -32,7 +32,7 @@ def backward_prune(cover: Cover, near: int | None = None) -> None:
     """
     in_set = cover.in_set
     counts = cover.counts
-    adj = cover.g.adj
+    adj = cover.adj
     if near is not None:
         cand = set()
         for x in (near, *adj[near]):

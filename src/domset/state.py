@@ -91,15 +91,6 @@ class Cover:
         """The members in insertion order, oldest first."""
         return sorted(self.members, key=self.stamp.__getitem__)
 
-    def unique_of(self, v: int) -> list[int]:
-        """Vertices in N[v] that member ``v`` is the only dominator of."""
-        counts = self.counts
-        out = [v] if counts[v] == 1 else []
-        for x in self.adj[v]:
-            if counts[x] == 1:
-                out.append(x)
-        return out
-
 
 def compute_cover_counts(g: Graph, sol: Solution | None = None) -> Cover:
     """Count from scratch how often ``sol`` (a fresh empty set by default)

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import random
+from pathlib import Path
 
+import domset
 from domset import AnnealConfig, Graph, Solution, add_to_d, compute_cover_counts, decay, generate_instance, gnp, true_gain
 from domset.swaps import SwapMove
+
+# Child processes (``python -m domset``) import the package the tests import,
+# also when that is a checkout's src/ put on sys.path by pytest's pythonpath.
+_SRC = str(Path(domset.__file__).parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def path_graph(k: int) -> Graph:
@@ -40,6 +48,17 @@ def is_redundant(cover, v: int) -> bool:
     """True when every vertex of N[v] is dominated at least twice, so
     dropping member ``v`` keeps the set dominating."""
     return all(cover.counts[x] >= 2 for x in closed_neighborhood(cover.g, v))
+
+
+def unique_of(cover, v: int) -> list[int]:
+    """Vertices in N[v] that member ``v`` is the only dominator of: ``v``
+    first, then its neighbours in adjacency order."""
+    counts = cover.counts
+    out = [v] if counts[v] == 1 else []
+    for x in cover.adj[v]:
+        if counts[x] == 1:
+            out.append(x)
+    return out
 
 
 def random_instance(rng: random.Random, kind: int) -> Graph:
@@ -134,38 +153,36 @@ def reference_try_one_swap(cover, w: int) -> SwapMove | None:
     """The exchange scan without any candidate filter: every t in N(w)
     outside the set has its closed neighborhood scanned. A t covering all
     that ``w`` alone covers, absorbing the most uniquely covered vertices
-    (first in adjacency order on ties), replaces ``w``; with nothing
-    uniquely covered ``w`` just goes."""
-    unique = cover.unique_of(w)
+    (first in adjacency order on ties), replaces ``w``. A ``w`` that covers
+    nothing alone is left in place: removing it is the prune's job."""
+    uset = set(unique_of(cover, w))
+    if not uset:
+        return None
     best_t = -1
-    if unique:
-        uset = set(unique)
-        best_absorbed = -1
-        for t in cover.g.adj[w]:
-            if cover.in_set[t]:
-                continue
-            hits = 1 if t in uset else 0
-            absorbed = 1 if cover.counts[t] == 1 else 0
-            for y in cover.g.adj[t]:
-                if cover.counts[y] == 1:
-                    absorbed += 1
-                    if y in uset:
-                        hits += 1
-            if hits == len(uset) and absorbed > best_absorbed:
-                best_t = t
-                best_absorbed = absorbed
-        if best_t < 0:
-            return None
-    cover.drop(w)
+    best_absorbed = -1
+    for t in cover.g.adj[w]:
+        if cover.in_set[t]:
+            continue
+        hits = 1 if t in uset else 0
+        absorbed = 1 if cover.counts[t] == 1 else 0
+        for y in cover.g.adj[t]:
+            if cover.counts[y] == 1:
+                absorbed += 1
+                if y in uset:
+                    hits += 1
+        if hits == len(uset) and absorbed > best_absorbed:
+            best_t = t
+            best_absorbed = absorbed
     if best_t < 0:
-        return SwapMove(w, None)
+        return None
+    cover.drop(w)
     cover.add(best_t)
     return SwapMove(w, best_t)
 
 
 def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int) -> list[int]:
     """The annealing loop written plainly, with ``rng.randrange`` draws,
-    ``is_redundant`` and ``Cover.unique_of`` plus a set: removal,
+    ``is_redundant`` and ``unique_of`` plus a set: removal,
     exchange and addition proposals in the mix 0.4 : 0.4 : 0.2. Returns the
     best members in the order ``sa_solve`` must give them."""
     cover = compute_cover_counts(g, seed_solution.copy())
@@ -189,7 +206,7 @@ def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int
                 if not cands:
                     continue
                 put = cands[rng.randrange(len(cands))]
-                unique = cover.unique_of(out)
+                unique = unique_of(cover, out)
                 if unique:
                     uset = set(unique)
                     hits = 1 if put in uset else 0

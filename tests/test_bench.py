@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import domset.bench
 from domset import SolverConfig, parse_ds, render_csv, run_bench, summarize
 from domset.bench import CSV_COLUMNS
 from domset.generators import generate_instance
@@ -88,6 +89,34 @@ def test_parallel_jobs_match_serial(tmp_path):
     serial = run_bench(paths, ["greedy", "hedom5"], _cfg())
     parallel = run_bench(paths, ["greedy", "hedom5"], _cfg(), jobs=2)
     assert serial == parallel
+
+
+def test_pool_asks_for_at_most_one_worker_per_task(tmp_path, monkeypatch):
+    asked = []
+
+    class RecordingPool:
+        """Records ``max_workers`` and maps in this process, so no worker
+        is started."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(domset.bench, "ProcessPoolExecutor", RecordingPool)
+    paths = sorted(_make_corpus(tmp_path, count=1).glob("*.ds"))
+    algos = ["greedy", "sa", "hedom5"]
+    records = run_bench(paths, algos, _cfg(), jobs=5000)
+    run_bench(paths, algos, _cfg(), jobs=2)
+    assert asked == [3, 2]
+    assert records == run_bench(paths, algos, _cfg())
 
 
 def test_generated_corpus_files_reparse(tmp_path):

@@ -201,6 +201,13 @@ def test_solution_add():
     assert not sol.add(2)
     assert sol.add(0)
     assert sol.members == [2, 0]
+    # An ID out of range is rejected; a negative one must not index in_set
+    # from the end.
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match="out of range 0..3"):
+            sol.add(v)
+    assert sol.members == [2, 0]
+    assert sol.in_set == [True, False, True, False]
 
 
 def _fuzz_bases() -> list[bytes]:

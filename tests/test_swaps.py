@@ -29,6 +29,7 @@ from conftest import (
     random_partial_set,
     reference_try_one_swap,
     star_graph,
+    unique_of,
 )
 
 
@@ -45,7 +46,7 @@ def _start_sets(rng: random.Random, g: Graph) -> tuple[list[int], list[int]]:
 
 def test_try_one_swap_matches_unfiltered_scan():
     rng = random.Random(4711)
-    kinds = {"free": 0, "only w": 0, "filtered": 0, "none": 0}
+    kinds = {"covers nothing alone": 0, "only w": 0, "filtered": 0, "no candidate": 0}
     for i in range(120):
         g = random_instance(rng, i % 4)
         for members in _start_sets(rng, g):
@@ -56,15 +57,16 @@ def test_try_one_swap_matches_unfiltered_scan():
             for w in cover.in_order() * 2:
                 if not cover.in_set[w]:
                     continue
-                unique = cover.unique_of(w)
+                unique = unique_of(cover, w)
                 move = try_one_swap(cover, w)
                 assert move == reference_try_one_swap(ref, w), (i, w)
                 assert cover.members == ref.members
                 assert cover.counts == ref.counts
-                if move is None:
-                    kinds["none"] += 1
-                elif move.added is None:
-                    kinds["free"] += 1
+                if not unique:
+                    assert move is None
+                    kinds["covers nothing alone"] += 1
+                elif move is None:
+                    kinds["no candidate"] += 1
                 else:
                     kinds["only w" if unique == [w] else "filtered"] += 1
     # Every branch of the scan was taken, the filtered one most of all.
@@ -88,24 +90,28 @@ def test_swap_budget_validation():
 def test_uniquely_covered_sole_dominator():
     g = star_graph(3)
     cover = compute_cover_counts(g, Solution.from_members(4, [0]))
-    assert sorted(cover.unique_of(0)) == [0, 1, 2, 3]
+    assert sorted(unique_of(cover, 0)) == [0, 1, 2, 3]
 
 
 def test_uniquely_covered_fully_shadowed():
     g = path_graph(3)
     cover = compute_cover_counts(g, Solution.from_members(3, [0, 1]))
-    assert cover.unique_of(0) == []
+    assert unique_of(cover, 0) == []
 
 
-def test_try_one_swap_free_removal():
-    # P4 with D = {0, 2, 3}: member 3 covers nothing uniquely, so it just goes.
+def test_try_one_swap_leaves_a_redundant_member_to_the_prune():
+    # P4 with D = {0, 2, 3}: member 3 covers nothing alone. The swap step
+    # only exchanges, so it leaves 3 in place; the prune removes it.
     g = path_graph(4)
     sol = Solution.from_members(4, [0, 2, 3])
     cover = compute_cover_counts(g, sol)
-    assert cover.unique_of(3) == []
-    move = try_one_swap(cover, 3)
-    assert move == SwapMove(removed=3, added=None)
-    assert sorted(sol.members) == [0, 2]
+    before_counts = list(cover.counts)
+    assert unique_of(cover, 3) == []
+    assert try_one_swap(cover, 3) is None
+    assert sol.members == [0, 2, 3]
+    assert cover.counts == before_counts
+    backward_prune(cover)
+    assert sol.members == [0, 2]
     assert verify(g, sol).valid
     assert cover.counts == compute_cover_counts(g, sol).counts
 
@@ -127,7 +133,7 @@ def test_try_one_swap_exchange_on_cycle():
     g = cycle_graph(4)
     sol = Solution.from_members(4, [0, 2])
     cover = compute_cover_counts(g, sol)
-    assert cover.unique_of(0) == [0]
+    assert unique_of(cover, 0) == [0]
     move = try_one_swap(cover, 0)
     assert move == SwapMove(removed=0, added=1)
     assert sorted(sol.members) == [1, 2]
