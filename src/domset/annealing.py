@@ -3,7 +3,8 @@
 Moves are vertex removals (always accepted), size-neutral exchanges
 (always accepted), and additions (accepted with probability exp(-1/T));
 every accepted state keeps full domination, and the best state seen is
-what comes back.
+what comes back: :func:`sa_solve` anneals the run's one
+:class:`~domset.state.Cover` in place and leaves it holding the best set.
 
 Every random index is drawn inline as ``getrandbits(k.bit_length())``,
 redrawn while it is ``>= k``. That is the whole of ``Random.randrange(k)``
@@ -28,8 +29,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, Solution
-from .state import UNBOUNDED, Budget, compute_cover_counts
+from .graph import Solution
+from .state import UNBOUNDED, Budget, Cover
 
 __all__ = ["AnnealConfig", "decay", "sa_solve", "TEMPERATURE_FLOOR"]
 
@@ -74,29 +75,29 @@ def decay(temperature: float, cfg: AnnealConfig) -> float:
 
 
 def sa_solve(
-    g: Graph,
-    seed_solution: Solution,
+    cover: Cover,
     cfg: AnnealConfig,
     seed: int = 0,
     budget: Budget = UNBOUNDED,
 ) -> Solution:
-    """Anneal from a feasible seed solution; returns the smallest dominating
-    set seen.
+    """Anneal ``cover`` in place from its feasible set; returns
+    ``cover.solution``, which then holds the smallest dominating set seen.
 
     ``seed`` seeds the move rng; the draws consume it exactly as
     ``randrange`` would (see the module docstring); an exchange counts its
     candidates as ``len(adj[out]) + 1 - counts[out]``, with no list.
     ``budget`` is polled before each block of 256 moves, the first block
     of an epoch included; the run ends at the poll that finds it expired.
-    Raises ValueError if a seed member is out of range or the seed solution
-    does not dominate. The moves keep the incremental cover counts, which
-    are checked at the end of every epoch, a cut-short one included.
+    Raises ValueError if a member is out of range or the set does not
+    dominate. The moves keep the incremental cover counts, which are
+    checked at the end of every epoch, a cut-short one included. At the
+    end the Cover holds the best set in the member order it had when it
+    was seen, which is also its insertion order.
     """
-    n = g.n
-    for d in seed_solution.members:
+    n = cover.g.n
+    for d in cover.members:
         if not 0 <= d < n:
             raise ValueError(f"solution member {d} out of range 0..{n - 1}")
-    cover = compute_cover_counts(g, seed_solution.copy())
     if cover.uncovered:
         raise ValueError(f"seed solution is not dominating (vertex {cover.counts.index(0)} uncovered)")
     if n == 0:
@@ -113,7 +114,7 @@ def sa_solve(
     size = len(cur)
     bits = size.bit_length()
     best = list(cur)
-    adj = g.adj
+    adj = cover.adj
     rng = random.Random(seed)
     rand = rng.random
     getrandbits = rng.getrandbits
@@ -196,4 +197,12 @@ def sa_solve(
         if expired:
             break
         temperature = decay(temperature, cfg)
-    return Solution.from_members(n, best)
+    # Put the best set back, in its own order, unless the Cover already
+    # holds it in that order, oldest first: drops reorder the members, and
+    # a removal that set the best may have left them off insertion order.
+    if cur != best or cover.in_order() != best:
+        while cur:
+            drop(cur[-1])
+        for v in best:
+            add(v)
+    return cover.solution

@@ -29,10 +29,18 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     if p > 0.0:
         rng = random.Random(seed)
         log_q = math.log(1.0 - p)
+        if log_q == 0.0:
+            # 1 - p rounds to 1 for p below ~1.1e-16, where only log1p
+            # is nonzero; every other p keeps the log it always had.
+            log_q = math.log1p(-p)
         v = 1
         w = -1
         while v < n:
-            w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+            try:
+                w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+            except OverflowError:
+                # At a subnormal p the skip can be infinite: past every pair.
+                break
             while w >= v and v < n:
                 w -= v
                 v += 1

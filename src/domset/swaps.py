@@ -33,42 +33,45 @@ def try_one_swap(cover: Cover, w: int) -> SwapMove | None:
     gets None: removing it is :func:`backward_prune`'s job.
 
     When a vertex u other than ``w`` is uniquely covered, a qualifying t
-    must cover u, so it lies in N[u]; every other t is skipped before its
-    O(deg t) scan. That skips only candidates that could not qualify, so
-    the same t wins. When ``w`` alone is uniquely covered, every t in N(w)
-    covers it and all are scanned.
+    must cover u, so it lies in N[u]: only the non-members of N(w) ∩ N[u]
+    are tested, in ascending order, which is adjacency order. A candidate
+    qualifies when every uniquely covered x is t or in N(t), and only a
+    qualifying one has its absorbed vertices counted. That skips only
+    candidates that could not qualify, so the same t wins. When ``w``
+    alone is uniquely covered, u is ``w`` and every t in N(w) is tested.
     """
     adj = cover.adj
     counts = cover.counts
+    nw = adj[w]
     unique = [w] if counts[w] == 1 else []
-    for x in adj[w]:
+    for x in nw:
         if counts[x] == 1:
             unique.append(x)
     if not unique:
         return None
     in_set = cover.in_set
-    uset = set(unique)
-    need = len(uset)
+    # unique lists w first, so u != w unless w is the only one, and then
+    # N(w) ∩ N[u] is N(w).
+    u = unique[-1]
+    cands = set(adj[u]).intersection(nw)
+    cands.add(u)
     best_t = -1
     best_absorbed = -1
-    # unique lists w first, so u != w unless w is the only one, and then
-    # N[u] = N[w] holds every t.
-    u = unique[-1]
-    reach = set(adj[u])
-    reach.add(u)
-    for t in adj[w]:
-        if in_set[t] or t not in reach:
+    for t in sorted(cands):
+        if in_set[t]:
             continue
-        hits = 1 if t in uset else 0
-        absorbed = 1 if counts[t] == 1 else 0
-        for y in adj[t]:
-            if counts[y] == 1:
-                absorbed += 1
-                if y in uset:
-                    hits += 1
-        if hits == need and absorbed > best_absorbed:
-            best_t = t
-            best_absorbed = absorbed
+        near = adj[t]
+        for x in unique:
+            if x != t and x not in near:
+                break
+        else:
+            absorbed = 1 if counts[t] == 1 else 0
+            for y in near:
+                if counts[y] == 1:
+                    absorbed += 1
+            if absorbed > best_absorbed:
+                best_t = t
+                best_absorbed = absorbed
     if best_t < 0:
         return None
     cover.drop(w)

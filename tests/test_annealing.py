@@ -7,8 +7,10 @@ import domset.annealing
 from domset import (
     AnnealConfig,
     Budget,
+    Graph,
     Solution,
     brute_force_optimum,
+    compute_cover_counts,
     decay,
     gnp,
     greedy_ln,
@@ -54,7 +56,7 @@ def test_config_validation():
 def test_sa_keeps_optimal_seed():
     g = star_graph(4)
     seed = Solution.from_members(5, [0])
-    out = sa_solve(g, seed, AnnealConfig(max_epochs=30), seed=1)
+    out = sa_solve(compute_cover_counts(g, seed.copy()), AnnealConfig(max_epochs=30), seed=1)
     assert len(out) == 1
     assert verify(g, out).valid
 
@@ -62,7 +64,7 @@ def test_sa_keeps_optimal_seed():
 def test_sa_improves_oversized_seed():
     g = path_graph(4)
     seed = Solution.from_members(4, [0, 1, 2])
-    out = sa_solve(g, seed, AnnealConfig(max_epochs=60), seed=3)
+    out = sa_solve(compute_cover_counts(g, seed.copy()), AnnealConfig(max_epochs=60), seed=3)
     assert len(out) == 2
     assert brute_force_optimum(g)[0] == 2
     assert verify(g, out).valid
@@ -71,19 +73,19 @@ def test_sa_improves_oversized_seed():
 def test_sa_zero_time_budget_returns_seed():
     g = path_graph(4)
     seed = Solution.from_members(4, [0, 1, 2])
-    out = sa_solve(g, seed, AnnealConfig(), seed=3, budget=Budget(0))
+    out = sa_solve(compute_cover_counts(g, seed.copy()), AnnealConfig(), seed=3, budget=Budget(0))
     assert sorted(out.members) == [0, 1, 2]
 
 
 def test_sa_rejects_invalid_seed():
     g = path_graph(5)
     with pytest.raises(ValueError, match=r"not dominating \(vertex 2 uncovered\)"):
-        sa_solve(g, Solution.from_members(5, [0]), AnnealConfig(max_epochs=1))
+        sa_solve(compute_cover_counts(g, Solution.from_members(5, [0])), AnnealConfig(max_epochs=1))
     # A member of -1 would otherwise count vertex 4 as dominated.
     out_of_range = Solution.from_members(5, [1, 3])
     out_of_range.members.append(-1)
     with pytest.raises(ValueError, match="member -1 out of range"):
-        sa_solve(g, out_of_range, AnnealConfig(max_epochs=1))
+        sa_solve(compute_cover_counts(g, out_of_range.copy()), AnnealConfig(max_epochs=1))
 
 
 def test_sa_never_worse_than_seed_and_always_valid():
@@ -93,7 +95,9 @@ def test_sa_never_worse_than_seed_and_always_valid():
         seed = greedy_ln(g)
         # One move per epoch: the domination check sa_solve makes after
         # every epoch runs after every move.
-        out = sa_solve(g, seed, AnnealConfig(moves_per_epoch=1, max_epochs=1000), seed=rng.randrange(100))
+        out = sa_solve(
+            compute_cover_counts(g, seed.copy()), AnnealConfig(moves_per_epoch=1, max_epochs=1000), seed=rng.randrange(100)
+        )
         assert len(out) <= len(seed)
         assert verify(g, out).valid
 
@@ -102,8 +106,8 @@ def test_sa_reproducible_with_fixed_seed():
     g = gnp(30, 0.2, seed=12)
     seed = greedy_ln(g)
     cfg = AnnealConfig(max_epochs=25)
-    first = sa_solve(g, seed, cfg, seed=42)
-    second = sa_solve(g, seed, cfg, seed=42)
+    first = sa_solve(compute_cover_counts(g, seed.copy()), cfg, seed=42)
+    second = sa_solve(compute_cover_counts(g, seed.copy()), cfg, seed=42)
     assert first.members == second.members
 
 
@@ -124,8 +128,30 @@ def test_sa_matches_reference_loop():
             max_epochs=rng.randint(0, 15),
         )
         seed = rng.randrange(10**6)
-        out = sa_solve(g, seed_solution, cfg, seed=seed)
+        out = sa_solve(compute_cover_counts(g, seed_solution.copy()), cfg, seed=seed)
         assert out.members == reference_sa(g, seed_solution, cfg, seed), (case, cfg)
+
+
+def test_sa_leaves_the_cover_holding_the_best_set_in_insertion_order():
+    # A drop moves the last member into the freed slot, so a run whose last
+    # change is the removal that sets the best ends with members == best
+    # but off insertion order: here [0, 1, 2, 7, 6], with 6 older than 7.
+    g = Graph.from_edges(8, [(0, 2), (0, 6), (1, 5), (1, 6), (3, 7), (4, 5), (4, 7)])
+    seed_solution = Solution.from_members(8, [0, 1, 2, 4, 6, 7])
+    cfg = AnnealConfig(initial_temperature=0.1, moves_per_epoch=3, max_epochs=1)
+    cover = compute_cover_counts(g, seed_solution.copy())
+    assert sa_solve(cover, cfg, seed=49).members == reference_sa(g, seed_solution, cfg, 49) == [0, 1, 2, 7, 6]
+    assert cover.in_order() == cover.members
+    rng = random.Random(8)
+    for case in range(200):
+        g = random_instance(rng, case % 4)
+        seed_solution = Solution.from_members(g.n, range(g.n))
+        cfg = AnnealConfig(initial_temperature=0.1, moves_per_epoch=rng.randint(1, 5), max_epochs=rng.randint(0, 3))
+        cover = compute_cover_counts(g, seed_solution.copy())
+        sa_solve(cover, cfg, seed=case)
+        assert cover.members == reference_sa(g, seed_solution, cfg, case), case
+        assert cover.in_order() == cover.members, case
+        assert cover.counts == compute_cover_counts(g, Solution.from_members(g.n, cover.members)).counts, case
 
 
 class _MoveCountingRandom(random.Random):
@@ -181,23 +207,16 @@ def test_sa_polls_its_budget_every_256_moves(monkeypatch, moves_per_epoch):
     epochs = 3
     cfg = AnnealConfig(moves_per_epoch=moves_per_epoch, max_epochs=epochs)
     expected = [e * moves_per_epoch + b for e in range(epochs) for b in range(0, moves_per_epoch, 256)]
-    covers = []
-    real_cover_counts = domset.annealing.compute_cover_counts
-
-    def recording_cover_counts(*args):
-        covers.append(real_cover_counts(*args))
-        return covers[-1]
-
-    monkeypatch.setattr(domset.annealing, "compute_cover_counts", recording_cover_counts)
     for trip in (None, 1, 2, len(expected)):
         budget = _PollRecordingBudget(trip)
+        cover = compute_cover_counts(g, seed_solution.copy())
 
         def counting_random(seed):
-            budget.rng = _MoveCountingRandom(seed, covers[-1].in_set)
+            budget.rng = _MoveCountingRandom(seed, cover.in_set)
             return budget.rng
 
         monkeypatch.setattr(domset.annealing, "random", SimpleNamespace(Random=counting_random))
-        out = sa_solve(g, seed_solution, cfg, seed=9, budget=budget)
+        out = sa_solve(cover, cfg, seed=9, budget=budget)
         assert verify(g, out).valid
         if trip is None:
             assert budget.polls == expected

@@ -96,6 +96,13 @@ def test_gen_writes_parseable_instance(tmp_path, capsys):
     assert g.m == 8
 
 
+def test_gen_gnp_with_tiny_p_exits_0(tmp_path, capsys):
+    out = tmp_path / "g.ds"
+    assert run_cli("gen", "--kind", "gnp", "--n", "10", "--p", "1e-17", "--out", str(out)) == 0
+    g = parse_ds(out.read_bytes())
+    assert (g.n, g.m) == (10, 0)
+
+
 def test_gen_rejects_bad_params(capsys):
     assert run_cli("gen", "--kind", "gnp", "--n", "10") == 2  # missing p
     assert run_cli("gen", "--kind", "gnp", "--n", "0", "--p", "0.5") == 2

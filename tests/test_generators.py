@@ -31,6 +31,15 @@ def test_gnp_p_one_is_complete():
     assert g.degree == [4] * 5
 
 
+def test_gnp_tiny_p_is_edgeless_not_an_error():
+    # 1 - p rounds to 1 below p ~1.1e-16, so log(1 - p) is 0; below
+    # ~1e-308 the skip length itself overflows to infinity.
+    for p in (1e-17, 1e-300, 5e-324):
+        g = gnp(10, p, seed=1)
+        assert g.n == 10
+        assert g.m == 0
+
+
 def test_gnp_deterministic():
     assert gnp(50, 0.1, seed=7) == gnp(50, 0.1, seed=7)
     assert gnp(50, 0.1, seed=7) != gnp(50, 0.1, seed=8)

@@ -11,8 +11,10 @@ from domset import (
     AnnealConfig,
     Budget,
     Graph,
+    Solution,
     SolverConfig,
     brute_force_optimum,
+    compute_cover_counts,
     generate_instance,
     gnp,
     solve,
@@ -235,3 +237,91 @@ def test_hedom5_without_reductions_hook(monkeypatch):
     g = gnp(40, 0.1, seed=8)
     sol = solve(g, _cfg(algorithm="hedom5"))
     assert verify(g, sol).valid
+
+
+def _assert_cover_consistent(cover) -> None:
+    """The Cover's flags, pick array and counts describe one vertex set."""
+    g = cover.g
+    members = cover.members
+    assert len(set(members)) == len(members)
+    assert all(members[cover.pos[v]] == v for v in members)
+    assert [v for v in range(g.n) if cover.in_set[v]] == sorted(members)
+    assert cover.counts == compute_cover_counts(g, Solution.from_members(g.n, members)).counts
+    assert cover.uncovered == cover.counts.count(0)
+
+
+# Every stage solve hands the run's Cover to, with the stages after which
+# the set dominates.
+COVER_STAGES = ("apply_isolate_rule", "apply_leaf_rule", "lazy_greedy", "backward_prune", "swap_phase", "sa_solve")
+DOMINATING_AFTER = {"lazy_greedy", "backward_prune", "swap_phase", "sa_solve"}
+
+
+class _TripsAtSecondAnnealPoll(Budget):
+    """Never expires until sa_solve's second poll: with 600 moves an epoch,
+    that is 256 moves into the first epoch."""
+
+    def __init__(self, ms=None, stop=None):
+        super().__init__(ms, stop)
+        self.anneal_polls = 0
+
+    def expired(self) -> bool:
+        if sys._getframe(1).f_code.co_name == "sa_solve":
+            self.anneal_polls += 1
+        return self.anneal_polls >= 2
+
+
+@pytest.mark.parametrize(
+    "algo, t0, budget",
+    [("hedom5", 1.0, None), ("greedy", 1.0, None), ("sa", 1.0, None), ("sa", 0.1, None), ("sa", 0.1, _TripsAtSecondAnnealPoll)],
+)
+@pytest.mark.parametrize("kind, params", [("gnp", {"n": 300, "p": 0.03}), ("grid", {"rows": 15, "cols": 20})])
+def test_the_runs_one_cover_stays_consistent_after_every_stage(monkeypatch, algo, t0, budget, kind, params):
+    # Every stage gets the same Cover, and after each its counts match a
+    # recount of its members. sa must leave it holding the best set in
+    # insertion order, also when its annealing shrank the set (t0 = 0.1)
+    # and when its budget expired mid-epoch.
+    g = generate_instance(kind, 5, **params)[0]
+    cfg = _cfg(algorithm=algo, attempt_cap=3, seed=3, anneal=AnnealConfig(initial_temperature=t0, moves_per_epoch=600, max_epochs=20))
+    budgets = []
+    if budget is not None:
+        monkeypatch.setattr(domset.pipeline, "Budget", lambda ms, stop: budgets.append(budget(ms, stop)) or budgets[-1])
+    seen = []
+    for name in COVER_STAGES:
+
+        def checked(cover, *args, _fn=getattr(domset.pipeline, name), _name=name):
+            before = len(cover.members)
+            result = _fn(cover, *args)
+            _assert_cover_consistent(cover)
+            if _name in DOMINATING_AFTER:
+                assert cover.uncovered == 0, _name
+            if _name == "sa_solve":
+                assert result is cover.solution
+                assert cover.in_order() == cover.members
+            seen.append((_name, cover, before, len(cover.members)))
+            return result
+
+        monkeypatch.setattr(domset.pipeline, name, checked)
+    trace = []
+    sol = solve(g, cfg, trace=trace)
+    assert verify(g, sol).valid
+    stages = [name for name, *_ in seen]
+    expected = {
+        "hedom5": ["apply_isolate_rule", "apply_leaf_rule", "lazy_greedy", "backward_prune", "swap_phase"],
+        "greedy": ["lazy_greedy"],
+        "sa": ["lazy_greedy", "sa_solve"],
+    }[algo]
+    assert stages == expected
+    assert all(cover is seen[0][1] for _, cover, *_ in seen)
+    assert sol is seen[0][1].solution
+    # The set each stage leaves is what the trace records, and the patch
+    # adds nothing to a set that already dominates.
+    sizes = {t.stage: t.size for t in trace}
+    assert sizes["greedy"] == seen[stages.index("lazy_greedy")][3]
+    assert sizes["patch"] == seen[-1][3]
+    if algo == "sa":
+        _, _, before, after = seen[-1]
+        assert sizes["anneal"] == after
+        if t0 == 0.1 and kind == "grid":
+            assert after < before
+    if budgets:
+        assert budgets[0].anneal_polls == 2
