@@ -88,17 +88,14 @@ def sa_solve(
     candidates as ``len(adj[out]) + 1 - counts[out]``, with no list.
     ``budget`` is polled before each block of 256 moves, the first block
     of an epoch included; the run ends at the poll that finds it expired.
-    Raises ValueError if a member is out of range or the set does not
-    dominate. The moves keep the incremental cover counts, which are
-    checked at the end of every epoch, a cut-short one included. At the
-    end the Cover holds the best set in the member order it had when it
-    was seen, which is also its insertion order.
+    Raises ValueError if the set does not dominate. The moves keep the
+    incremental cover counts, which are checked at the end of every epoch,
+    a cut-short one included. At the end :meth:`Cover.load` puts back the
+    best set in the member order it had when it was seen, which is then
+    also its insertion order.
     """
     n = cover.g.n
-    for d in cover.members:
-        if not 0 <= d < n:
-            raise ValueError(f"solution member {d} out of range 0..{n - 1}")
-    if cover.uncovered:
+    if 0 in cover.counts:
         raise ValueError(f"seed solution is not dominating (vertex {cover.counts.index(0)} uncovered)")
     if n == 0:
         return cover.solution
@@ -197,12 +194,7 @@ def sa_solve(
         if expired:
             break
         temperature = decay(temperature, cfg)
-    # Put the best set back, in its own order, unless the Cover already
-    # holds it in that order, oldest first: drops reorder the members, and
-    # a removal that set the best may have left them off insertion order.
-    if cur != best or cover.in_order() != best:
-        while cur:
-            drop(cur[-1])
-        for v in best:
-            add(v)
+    # The best set goes back in its own order: drops reorder the members,
+    # and a removal that set the best may have left them off insertion order.
+    cover.load(best)
     return cover.solution

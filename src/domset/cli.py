@@ -73,7 +73,7 @@ def _write_output(text: str, out: str | None) -> bool:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = parse_ds(_read_input(args.input))
+    # Handlers before the read: a stop while reading or parsing is kept.
     stop = threading.Event()
     previous = {}
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -83,6 +83,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             pass  # not the main thread
     trace: list[StageTrace] | None = [] if args.trace else None
     try:
+        g = parse_ds(_read_input(args.input))
         sol = solve(g, _solver_config(args), trace=trace, stop=stop)
     finally:
         for sig, handler in previous.items():

@@ -181,9 +181,8 @@ def parse_ds(data: bytes | str) -> Graph:
     bulk with numpy; any other is read line by line, which accepts and
     rejects exactly the same inputs, so every error still names its line.
     """
-    text = _decode(data)
-    g = _parse_ds_bulk(text)
-    return g if g is not None else _parse_ds_lines(text)
+    g = _parse_ds_bulk(data)
+    return g if g is not None else _parse_ds_lines(data)
 
 
 def _decode(data: bytes | str) -> str:
@@ -237,9 +236,10 @@ def _parse_ds_bulk(data: bytes | str) -> Graph | None:
         n, declared_m, _, end = _read_header(text)
     except ParseError:
         return None
-    # Each non-ASCII character becomes one b"?", which keeps the offsets and
-    # fails the byte check.
-    body = text.encode("ascii", "replace")[end:]
+    # Bytes are sliced where the decoded header ends. A str is encoded with
+    # each non-ASCII character as one b"?", which keeps the offsets. Either
+    # way a non-ASCII body fails the byte check.
+    body = data[len(text[:end].encode()) :] if isinstance(data, bytes) else text.encode("ascii", "replace")[end:]
     if body.translate(None, _EDGE_BYTES):
         return None
     if declared_m == 0:
@@ -258,6 +258,8 @@ def _parse_ds_bulk(data: bytes | str) -> Graph | None:
     if len(ids) != len(starts) or int(ids.min()) < 1 or int(ids.max()) > n:
         return None
     ids -= 1
+    # The text and the checks' arrays go before from_edges makes its own.
+    del text, body, raw, bounds, starts, line_of
     return Graph.from_edges(n, ids.reshape(-1, 2))
 
 

@@ -40,13 +40,15 @@ def lazy_greedy(cover: Cover, budget: Budget = UNBOUNDED) -> None:
     in ascending ID: a vertex whose gain is still ``level`` is picked, and a
     stale one moves down to the bucket of its gain, or leaves at gain zero,
     as every member does. So each pick has the maximum gain, ties broken
-    toward the smaller vertex ID.
+    toward the smaller vertex ID. It returns once no count is zero, which
+    it tracks by the vertices each pick dominates for the first time.
     """
-    if cover.uncovered == 0:
+    counts = cover.counts
+    uncovered = counts.count(0)
+    if not uncovered:
         return
     g = cover.g
     adj = g.adj
-    counts = cover.counts
     gain = [d + 1 for d in g.degree]
     for x in range(g.n):
         if counts[x]:
@@ -77,10 +79,11 @@ def lazy_greedy(cover: Cover, budget: Budget = UNBOUNDED) -> None:
             # The vertices v dominates for the first time are counted once now.
             for x in (v, *adj[v]):
                 if counts[x] == 1:
+                    uncovered -= 1
                     gain[x] -= 1
                     for y in adj[x]:
                         gain[y] -= 1
-            if cover.uncovered == 0:
+            if not uncovered:
                 return
 
 

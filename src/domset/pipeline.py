@@ -1,14 +1,15 @@
 """End-to-end solver orchestration and algorithm selection.
 
-:func:`solve` runs every algorithm as construct, improve, finish. hedom5
-constructs with the isolate/leaf reductions and lazy greedy on one shared
-:class:`~domset.state.Cover` and improves with backward pruning and the
-1-swap phase; greedy and sa construct with the plain greedy baseline, and
-sa improves by annealing. Every run finishes with one safety patch and one
-verify. :func:`solve` builds one :class:`~domset.state.Budget` per run: in
-wall-clock mode its deadline is the global time budget minus a 5% reserve
-for output, and the stop event ends it early. Greedy, swap and annealing
-poll it; once it has expired, the improvement stage is skipped.
+:func:`solve` runs every algorithm as construct, improve, finish on the one
+:class:`~domset.state.Cover` it builds per run. hedom5 constructs with the
+isolate/leaf reductions and lazy greedy and improves with backward pruning
+and the 1-swap phase; greedy and sa construct with lazy greedy alone, and
+sa improves by annealing. Every run finishes with one safety patch, which
+reloads that Cover, and one verify. :func:`solve` builds one
+:class:`~domset.state.Budget` per run: in wall-clock mode its deadline is
+the global time budget minus a 5% reserve for output, and the stop event
+ends it early. Greedy, swap and annealing poll it; once it has expired,
+the improvement stage is skipped.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def solve(
             sa_solve(cover, cfg.anneal, cfg.seed, budget)
             record("anneal")
 
-    safety_patch(g, sol)
+    safety_patch(cover)
     record("patch")
     report = verify(g, sol)
     if not report.valid:

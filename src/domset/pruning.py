@@ -14,8 +14,8 @@ def backward_prune(cover: Cover, near: int | None = None) -> None:
     Members are scanned in reverse insertion order (:meth:`Cover.in_order`).
     Counts are maintained live, so members that only become redundant
     through removals later in the scan are still caught. Only redundant
-    members leave, so ``cover.uncovered`` is unchanged. The redundancy test
-    is written inline, over the cover's lists as locals: a call per member
+    members leave, so no count drops to zero. The redundancy test is
+    written inline, over the cover's lists as locals: a call per member
     is measurably slower on this hot path.
 
     With ``near`` set, it prunes after an exchange that added ``near``:

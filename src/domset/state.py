@@ -19,34 +19,52 @@ class Cover:
     and member order.
 
     ``counts[x]`` is the number of members whose closed neighborhood
-    contains ``x``, so ``x`` is dominated iff ``counts[x] > 0``;
-    ``uncovered`` is the number of zero entries. ``in_set`` and ``members``
-    are the flag list and member list of ``solution``, and :meth:`add` and
-    :meth:`drop` are the only ways a stage changes them. ``members`` is a
-    pick array: ``members[pos[v]] == v``, and a drop moves the last member
-    into the freed slot, so both moves are O(deg). Insertion order, which
-    the prune and the swap sweeps read, is kept apart as a per-vertex stamp
-    and read back by :meth:`in_order`. ``adj`` is the graph's own
-    neighbour tuple list (``g.adj``, not a copy), held so that a move reads
-    ``N(v)`` with one attribute lookup.
+    contains ``x``, so ``x`` is dominated iff ``counts[x] > 0``. ``in_set``
+    and ``members`` are the flag list and member list of ``solution``, and
+    a new Cover loads that list in its order. :meth:`load` sets the whole
+    state from a member list, :meth:`add` and :meth:`drop` change it one
+    vertex at a time, and no other code changes a Cover or its lists.
+    ``members`` is a pick array: ``members[pos[v]] == v``, and a drop moves
+    the last member into the freed slot, so both moves are O(deg).
+    Insertion order, which the prune and the swap sweeps read, is kept
+    apart as a per-vertex stamp and read back by :meth:`in_order`. ``adj``
+    is the graph's own neighbour tuple list (``g.adj``, not a copy), held so
+    that a move reads ``N(v)`` with one attribute lookup.
     """
 
-    __slots__ = ("g", "adj", "solution", "in_set", "members", "counts", "uncovered", "pos", "stamp", "clock")
+    __slots__ = ("g", "adj", "solution", "in_set", "members", "counts", "pos", "stamp", "clock")
 
-    def __init__(self, g: Graph, solution: Solution, counts: list[int]) -> None:
+    def __init__(self, g: Graph, solution: Solution) -> None:
         self.g = g
         self.adj = g.adj
         self.solution = solution
         self.in_set = solution.in_set
         self.members = solution.members
-        self.counts = counts
-        self.uncovered = counts.count(0)
-        self.pos = [0] * g.n
-        self.stamp = [0] * g.n
-        for i, v in enumerate(self.members):
-            self.pos[v] = i
-            self.stamp[v] = i
-        self.clock = itertools.count(len(self.members))
+        self.counts, self.pos, self.stamp = [], [], []  # sized by load
+        self.load(solution.members)
+
+    def load(self, members: list[int]) -> None:
+        """Make ``members`` (distinct vertex IDs) the set, counted from
+        scratch, with their order as both pick order and insertion order.
+        Raises ValueError, with the Cover unchanged, for an ID outside
+        0..n-1."""
+        order = list(members)
+        n = self.g.n
+        for v in order:
+            if not 0 <= v < n:
+                raise ValueError(f"member {v} out of range 0..{n - 1}")
+        in_set, counts, pos, stamp, adj = self.in_set, self.counts, self.pos, self.stamp, self.adj
+        self.members[:] = order
+        in_set[:] = [False] * n
+        counts[:] = pos[:] = stamp[:] = [0] * n
+        for i, v in enumerate(order):
+            in_set[v] = True
+            pos[v] = i
+            stamp[v] = i
+            counts[v] += 1
+            for x in adj[v]:
+                counts[x] += 1
+        self.clock = itertools.count(len(order))
 
     def add(self, v: int) -> None:
         """Make non-member ``v`` the newest member and count its closed
@@ -57,14 +75,9 @@ class Cover:
         members.append(v)
         self.stamp[v] = next(self.clock)
         counts = self.counts
-        newly = 0 if counts[v] else 1
         counts[v] += 1
         for x in self.adj[v]:
-            c = counts[x]
-            counts[x] = c + 1
-            if not c:
-                newly += 1
-        self.uncovered -= newly
+            counts[x] += 1
 
     def drop(self, v: int) -> None:
         """Remove member ``v``, moving the last member into its slot, and
@@ -79,13 +92,8 @@ class Cover:
             pos[last] = i
         counts = self.counts
         counts[v] -= 1
-        lost = 0 if counts[v] else 1
         for x in self.adj[v]:
-            c = counts[x] - 1
-            counts[x] = c
-            if not c:
-                lost += 1
-        self.uncovered += lost
+            counts[x] -= 1
 
     def in_order(self) -> list[int]:
         """The members in insertion order, oldest first."""
@@ -93,18 +101,10 @@ class Cover:
 
 
 def compute_cover_counts(g: Graph, sol: Solution | None = None) -> Cover:
-    """Count from scratch how often ``sol`` (a fresh empty set by default)
-    dominates each vertex. The returned Cover shares ``sol``'s flags and
-    member list and takes the list's order as insertion order."""
-    if sol is None:
-        sol = Solution(g.n)
-    counts = [0] * g.n
-    adj = g.adj
-    for d in sol.members:
-        counts[d] += 1
-        for x in adj[d]:
-            counts[x] += 1
-    return Cover(g, sol, counts)
+    """The Cover of ``sol`` (a fresh empty set by default), counted from
+    scratch: it shares ``sol``'s flags and member list and takes the list's
+    order as insertion order."""
+    return Cover(g, sol if sol is not None else Solution(g.n))
 
 
 # Greedy and the swap phase poll their budget once per this many units of

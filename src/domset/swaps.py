@@ -5,10 +5,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, Solution
 from .greedy import lazy_greedy
 from .pruning import backward_prune
-from .state import POLL_BATCH, Budget, Cover, compute_cover_counts
+from .state import POLL_BATCH, Budget, Cover
 
 __all__ = ["SwapMove", "try_one_swap", "swap_phase", "safety_patch"]
 
@@ -126,15 +125,16 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
             return
 
 
-def safety_patch(g: Graph, sol: Solution) -> int:
-    """Recount domination from ``sol``'s members and let lazy greedy repair
-    any gaps.
+def safety_patch(cover: Cover) -> int:
+    """Recount ``cover`` from its members; lazy greedy repairs any gaps.
 
-    The recount never trusts a stage's incrementally maintained Cover.
-    Lazy greedy then adds, while uncovered vertices remain, the vertex
-    covering the most of them (ties toward the smaller ID). Returns how
-    many vertices were added; 0 on an already valid solution.
+    The recount, :meth:`Cover.load` of its own members in pick order, never
+    trusts the counts a stage kept incrementally. Lazy greedy then adds,
+    while uncovered vertices remain, the vertex covering the most of them
+    (ties toward the smaller ID). Returns how many vertices were added; 0
+    on an already valid solution.
     """
-    before = len(sol)
-    lazy_greedy(compute_cover_counts(g, sol))
-    return len(sol) - before
+    before = len(cover.members)
+    cover.load(cover.members)
+    lazy_greedy(cover)
+    return len(cover.members) - before

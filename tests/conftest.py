@@ -104,7 +104,7 @@ def eager_continuation(g: Graph, sol: Solution) -> list[int]:
 def eager_greedy(g: Graph) -> Solution:
     """Full-rescore greedy, the slow reference the lazy variant must match."""
     cover = compute_cover_counts(g)
-    while cover.uncovered > 0:
+    while 0 in cover.counts:
         best_v = -1
         best_gain = 0
         for v in range(g.n):
@@ -133,7 +133,7 @@ def reference_heap_greedy(cover) -> None:
                 gain[y] -= 1
     heap = [-gv * n + v for v, gv in enumerate(gain) if gv]
     heapq.heapify(heap)
-    while cover.uncovered > 0:
+    while 0 in cover.counts:
         key = heapq.heappop(heap)
         v = key % n
         gv = gain[v]

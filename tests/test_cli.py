@@ -1,13 +1,15 @@
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
 import domset.cli
-from domset import AnnealConfig, SolverConfig, parse_ds
+from domset import AnnealConfig, SolverConfig, generate_instance, parse_ds
 from domset.cli import main
 
 STAR5 = "p ds 5 4\n1 2\n1 3\n1 4\n1 5\n"
@@ -55,6 +57,46 @@ def test_solve_restores_signal_handlers(tmp_path, capsys):
     before = [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)]
     assert run_cli("solve", str(inst), "--no-wallclock") == 0
     assert [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)] == before
+
+
+def _catches(pid: int, sig: int) -> bool:
+    """True once process ``pid`` has a handler installed for ``sig``
+    (Linux: the SigCgt mask in /proc/<pid>/status)."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("SigCgt:"):
+            return bool(int(line.split()[1], 16) >> (sig - 1) & 1)
+    return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/<pid>/status")
+def test_sigterm_before_the_input_is_read_still_prints_a_verified_set(tmp_path):
+    # stdin is held open, so the solver is waiting for its input when the
+    # signal lands; once the instance arrives, the stopped run patches its
+    # empty set to a dominating one and exits 0.
+    _, text = generate_instance("gnp", 3, n=400, p=0.02)
+    inst = tmp_path / "g.ds"
+    inst.write_text(text)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "domset", "solve", "--time-budget", "600000"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not _catches(proc.pid, signal.SIGTERM):
+            assert proc.poll() is None and time.monotonic() < deadline, "no SIGTERM handler while reading input"
+            time.sleep(0.01)
+        time.sleep(0.2)  # let the read block
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(text.encode(), timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err.decode()
+    sol_path = tmp_path / "g.sol"
+    sol_path.write_bytes(out)
+    assert run_cli("verify", str(inst), str(sol_path)) == 0
 
 
 def test_verify_valid_and_invalid(tmp_path, capsys):

@@ -366,6 +366,8 @@ def test_non_ascii_comment_before_the_header_keeps_the_bulk_path():
         g = _parse_ds_bulk(data)
         assert g is not None
         assert g == _parse_ds_lines(data) == parse_ds(data) == parse_ds("p ds 4 3\n1 2\n2 3\n3 4\n")
-    # A non-ASCII character in the edge section still takes the per-line path.
+    # A non-ASCII character in the edge section still takes the per-line
+    # path, from str and from bytes.
     assert _parse_ds_bulk(text + "c é\n") is None
+    assert _parse_ds_bulk((text + "c é\n").encode()) is None
     assert parse_ds(text + "c é\n") == parse_ds(text)

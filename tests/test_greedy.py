@@ -136,8 +136,54 @@ def test_lazy_greedy_continues_any_partial_set_eagerly():
             expected = eager_continuation(g, cover.solution)
             lazy_greedy(cover)
             assert cover.members == before + expected
-            assert cover.uncovered == 0
+            assert 0 not in cover.counts
             assert verify(g, cover.solution).valid
+
+
+class _TripsAtPoll(Budget):
+    """Expires at its k-th poll and counts the polls made."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.k = k
+        self.polls = 0
+
+    def expired(self):
+        self.polls += 1
+        return self.polls >= self.k
+
+
+def test_lazy_greedy_stops_exactly_when_every_vertex_is_dominated(monkeypatch):
+    """No pick is made once every vertex is dominated, and a run returns
+    then; a budget that trips at poll k, for every k the run reaches, leaves
+    a prefix of the full run's picks with a vertex still undominated."""
+    real_add = domset.greedy.add_to_d
+
+    def add_checked(cover, v):
+        assert 0 in cover.counts, "a pick after every vertex was dominated"
+        real_add(cover, v)
+
+    monkeypatch.setattr(domset.greedy, "add_to_d", add_checked)
+    rng = random.Random(9090)
+    tripped = 0
+    for i in range(40):
+        g = random_instance(rng, i % 4)
+        start = random_partial_set(rng, g)
+        full = compute_cover_counts(g, start.copy())
+        lazy_greedy(full)
+        assert 0 not in full.counts
+        for k in range(1, g.n + 2):
+            budget = _TripsAtPoll(k)
+            cover = compute_cover_counts(g, start.copy())
+            lazy_greedy(cover, budget)
+            assert cover.members == full.members[: len(cover.members)], (i, k)
+            if budget.polls < k:
+                assert cover.members == full.members
+                assert 0 not in cover.counts
+                break
+            assert 0 in cover.counts, (i, k)
+            tripped += 1
+    assert tripped > 40
 
 
 def _large_instance(rng: random.Random, kind: int) -> Graph:
@@ -204,7 +250,7 @@ def test_lazy_greedy_matches_heap_reference_at_scale():
             reference_heap_greedy(expected)
             assert cover.members == expected.members
             assert cover.counts == expected.counts
-            assert cover.uncovered == 0
+            assert 0 not in cover.counts
 
 
 def test_lazy_greedy_expired_budget_adds_nothing():
@@ -245,7 +291,7 @@ def test_lazy_greedy_stop_after_k_picks_ends_within_a_poll_batch(monkeypatch, k)
         assert cover.members == full.members[: len(cover.members)]
         recount = compute_cover_counts(g, Solution.from_members(g.n, cover.members))
         assert cover.counts == recount.counts
-        assert cover.uncovered == recount.uncovered > 0
+        assert cover.counts.count(0) == recount.counts.count(0) > 0
 
 
 class _VisitRecordingBudget(Budget):
@@ -278,7 +324,7 @@ def test_lazy_greedy_polls_before_its_first_visit_then_every_poll_batch_visits()
         finally:
             sys.setprofile(None)
         (visits,) = totals
-        assert cover.uncovered == 0
+        assert 0 not in cover.counts
         assert len(cover.members) <= visits
         # A poll before visits 0, POLL_BATCH, 2 * POLL_BATCH, ...: none is
         # missing and none comes in between.

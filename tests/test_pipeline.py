@@ -6,6 +6,7 @@ import time
 import pytest
 
 import domset.pipeline
+import domset.state
 from domset import (
     ALGORITHMS,
     AnnealConfig,
@@ -239,6 +240,33 @@ def test_hedom5_without_reductions_hook(monkeypatch):
     assert verify(g, sol).valid
 
 
+@pytest.mark.parametrize("stopped", [False, True])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_solve_builds_one_cover_per_run(monkeypatch, algo, stopped):
+    # Construction counted, not timed: one Cover per run, and the patch
+    # gets that Cover, also when a stop skips the improvement stage.
+    built = []
+    real_init = domset.state.Cover.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(domset.state.Cover, "__init__", counting_init)
+    patched = []
+    real_patch = domset.pipeline.safety_patch
+    monkeypatch.setattr(domset.pipeline, "safety_patch", lambda cover: patched.append(cover) or real_patch(cover))
+    g = generate_instance("gnp", 5, n=300, p=0.03)[0]
+    stop = threading.Event()
+    if stopped:
+        stop.set()
+    sol = solve(g, _cfg(algorithm=algo, anneal=AnnealConfig(max_epochs=5)), stop=stop)
+    assert verify(g, sol).valid
+    assert len(built) == 1
+    assert len(patched) == 1 and patched[0] is built[0]
+    assert sol is built[0].solution
+
+
 def _assert_cover_consistent(cover) -> None:
     """The Cover's flags, pick array and counts describe one vertex set."""
     g = cover.g
@@ -247,7 +275,7 @@ def _assert_cover_consistent(cover) -> None:
     assert all(members[cover.pos[v]] == v for v in members)
     assert [v for v in range(g.n) if cover.in_set[v]] == sorted(members)
     assert cover.counts == compute_cover_counts(g, Solution.from_members(g.n, members)).counts
-    assert cover.uncovered == cover.counts.count(0)
+    assert not hasattr(cover, "uncovered")  # no derived counter to drift
 
 
 # Every stage solve hands the run's Cover to, with the stages after which
@@ -293,7 +321,7 @@ def test_the_runs_one_cover_stays_consistent_after_every_stage(monkeypatch, algo
             result = _fn(cover, *args)
             _assert_cover_consistent(cover)
             if _name in DOMINATING_AFTER:
-                assert cover.uncovered == 0, _name
+                assert 0 not in cover.counts, _name
             if _name == "sa_solve":
                 assert result is cover.solution
                 assert cover.in_order() == cover.members

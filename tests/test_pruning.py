@@ -70,7 +70,7 @@ def test_prune_properties_on_random_solutions():
         assert verify(g, sol).valid
         # live counts match a fresh recomputation
         assert cover.counts == compute_cover_counts(g, sol).counts
-        assert cover.uncovered == 0
+        assert 0 not in cover.counts
         # a second pass over the pruned set removes nothing
         again = list(sol.members)
         backward_prune(compute_cover_counts(g, sol))

@@ -1,9 +1,11 @@
 import random
 from itertools import combinations
 
-from domset import Cover, Graph, add_to_d, apply_isolate_rule, apply_leaf_rule, compute_cover_counts, gnp, star_forest
+import pytest
 
-from conftest import closed_neighborhood, cycle_graph, path_graph, star_graph
+from domset import Cover, Graph, Solution, add_to_d, apply_isolate_rule, apply_leaf_rule, compute_cover_counts, gnp, star_forest
+
+from conftest import closed_neighborhood, cycle_graph, path_graph, random_instance, random_partial_set, star_graph
 
 
 def recompute_counts(g: Graph, cover: Cover) -> list[int]:
@@ -35,7 +37,7 @@ def test_add_to_d_star_center():
     state = compute_cover_counts(g)
     add_to_d(state, 0)
     assert dominated(state) == [True] * 4
-    assert state.uncovered == 0
+    assert state.counts.count(0) == 0
     assert state.members == [0]
 
 
@@ -45,7 +47,7 @@ def test_add_to_d_idempotent():
     add_to_d(state, 1)
     add_to_d(state, 1)
     assert state.members == [1]
-    assert state.uncovered == 2
+    assert state.counts.count(0) == 2
 
 
 def test_add_to_d_isolated_vertex():
@@ -53,7 +55,7 @@ def test_add_to_d_isolated_vertex():
     state = compute_cover_counts(g)
     add_to_d(state, 0)
     assert dominated(state) == [True, False, False]
-    assert state.uncovered == 2
+    assert state.counts.count(0) == 2
 
 
 def test_add_to_d_bookkeeping_matches_recomputation():
@@ -69,7 +71,7 @@ def test_add_to_d_bookkeeping_matches_recomputation():
                 inserted.append(v)
             add_to_d(state, v)
             assert dominated(state) == recompute_dominated(g, state)
-            assert state.uncovered == dominated(state).count(False)
+            assert state.counts.count(0) == recompute_dominated(g, state).count(False)
             assert_member_counts(g, state)
         # Random drops and re-adds through Cover.drop / Cover.add must agree
         # with a from-scratch recount after every step, and keep the member
@@ -84,18 +86,62 @@ def test_add_to_d_bookkeeping_matches_recomputation():
                 inserted.append(v)
             assert state.counts == recompute_counts(g, state)
             assert state.counts == compute_cover_counts(g, state.solution).counts
-            assert state.uncovered == dominated(state).count(False)
+            assert state.counts.count(0) == recompute_dominated(g, state).count(False)
             assert set(state.members) == {x for x in range(g.n) if state.in_set[x]}
             assert all(state.members[state.pos[x]] == x for x in state.members)
             assert state.in_order() == inserted
             assert_member_counts(g, state)
 
 
+def test_cover_load_after_random_moves_equals_a_fresh_cover():
+    # load sets the whole state from scratch, whatever moves came before,
+    # in the given order, and keeps the Cover's lists and its Solution.
+    rng = random.Random(1717)
+    for case in range(120):
+        g = random_instance(rng, case % 4)
+        cover = compute_cover_counts(g, random_partial_set(rng, g))
+        lists = (cover.solution, cover.members, cover.in_set, cover.counts, cover.pos, cover.stamp)
+        for _ in range(rng.randint(0, 3 * g.n)):
+            v = rng.randrange(g.n)
+            if cover.in_set[v]:
+                cover.drop(v)
+            else:
+                cover.add(v)
+        if case % 3:
+            m = rng.sample(range(g.n), rng.randint(0, g.n))
+        else:  # the current members, reordered
+            m = rng.sample(cover.members, len(cover.members))
+        cover.load(m)
+        fresh = compute_cover_counts(g, Solution.from_members(g.n, m))
+        assert cover.counts == fresh.counts, case
+        assert cover.in_set == fresh.in_set
+        assert cover.pos == fresh.pos
+        assert cover.members == m
+        assert cover.in_order() == m
+        now = (cover.solution, cover.members, cover.in_set, cover.counts, cover.pos, cover.stamp)
+        assert all(a is b for a, b in zip(lists, now))
+        # The next add is the newest member.
+        if len(m) < g.n:
+            v = rng.choice([x for x in range(g.n) if not cover.in_set[x]])
+            cover.add(v)
+            assert cover.in_order() == m + [v]
+
+
+def test_cover_load_rejects_an_out_of_range_member_unchanged():
+    g = path_graph(5)
+    cover = compute_cover_counts(g, Solution.from_members(5, [1, 3]))
+    before = (list(cover.members), list(cover.in_set), list(cover.counts))
+    for bad in ([0, -1], [5]):
+        with pytest.raises(ValueError, match="out of range"):
+            cover.load(bad)
+        assert (cover.members, cover.in_set, cover.counts) == before
+
+
 def test_isolate_rule_all_isolates():
     g = Graph.from_edges(4, [])
     state = compute_cover_counts(g)
     assert apply_isolate_rule(state) == 4
-    assert state.uncovered == 0
+    assert state.counts.count(0) == 0
     assert sorted(state.members) == [0, 1, 2, 3]
 
 
@@ -119,7 +165,7 @@ def test_leaf_rule_path_forces_center():
     # gamma(P3) = 1: vertex 1 alone dominates, confirmed by exhaustive search below
     assert added == 1
     assert state.members == [1]
-    assert state.uncovered == 0
+    assert state.counts.count(0) == 0
     assert exhaustive_gamma(g) == 1
 
 

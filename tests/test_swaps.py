@@ -207,11 +207,11 @@ def test_swap_phase_polls_within_a_poll_batch_of_attempted_work(monkeypatch):
 
 def _assert_consistent(cover) -> None:
     """What swap_phase keeps from its entry prune on, after every applied
-    move and its prune: the counts and the uncovered count equal a fresh
+    move and its prune: the counts and the undominated count equal a fresh
     recount, and no member is redundant."""
     fresh = compute_cover_counts(cover.g, cover.solution)
     assert cover.counts == fresh.counts, "incremental cover counts drifted"
-    assert cover.uncovered == fresh.uncovered, "incremental uncovered count drifted"
+    assert cover.counts.count(0) == fresh.counts.count(0), "incremental undominated count drifted"
     assert not any(is_redundant(cover, v) for v in cover.members), "a redundant member survived the prune"
 
 
@@ -294,7 +294,7 @@ def test_local_prune_matches_full_prune_after_every_move(monkeypatch):
                 _checked_swap_phase(monkeypatch, cover, attempt_cap=6, budget=Budget(), rng=random.Random(seed))
                 assert cover.members == ref.members, (i, seed)
                 assert cover.counts == ref.counts
-                assert cover.uncovered == ref.uncovered == 0
+                assert cover.counts.count(0) == ref.counts.count(0) == 0
     # The comparison means something only if later prunes removed members.
     assert later_removed > 0, later_removed
 
@@ -315,21 +315,21 @@ def test_safety_patch_valid_solution_untouched():
     g = path_graph(5)
     sol = greedy_ln(g)
     before = list(sol.members)
-    assert safety_patch(g, sol) == 0
+    assert safety_patch(compute_cover_counts(g, sol)) == 0
     assert sol.members == before
 
 
 def test_safety_patch_repairs_empty_solution():
     g = star_graph(3)
     sol = Solution(4)
-    assert safety_patch(g, sol) == 1
+    assert safety_patch(compute_cover_counts(g, sol)) == 1
     assert sol.members == [0]  # the center covers all four vertices
 
 
 def test_safety_patch_isolates():
     g = Graph.from_edges(2, [])
     sol = Solution(2)
-    assert safety_patch(g, sol) == 2
+    assert safety_patch(compute_cover_counts(g, sol)) == 2
     assert verify(g, sol).valid
 
 
@@ -342,7 +342,7 @@ def test_safety_patch_always_terminates_valid():
         for v in range(g.n):
             if rng.random() < 0.2:
                 sol.add(v)
-        added = safety_patch(g, sol)
+        added = safety_patch(compute_cover_counts(g, sol))
         assert added <= g.n
         assert verify(g, sol).valid
 
@@ -354,6 +354,6 @@ def test_safety_patch_matches_reference_rule():
         sol = random_partial_set(rng, g)
         before = list(sol.members)
         expected = eager_continuation(g, sol)
-        assert safety_patch(g, sol) == len(expected)
+        assert safety_patch(compute_cover_counts(g, sol)) == len(expected)
         assert sol.members == before + expected
         assert verify(g, sol).valid

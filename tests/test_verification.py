@@ -64,7 +64,7 @@ def test_verify_agrees_with_cover_state():
         for _ in range(rng.randint(0, g.n)):
             add_to_d(state, rng.randrange(g.n))
         report = verify(g, state.solution)
-        assert report.valid == (state.uncovered == 0)
+        assert report.valid == (0 not in state.counts)
         if not report.valid:
             assert report.first_uncovered == state.counts.index(0)
 
