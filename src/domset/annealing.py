@@ -80,8 +80,8 @@ def sa_solve(
     seed: int = 0,
     budget: Budget = UNBOUNDED,
 ) -> Solution:
-    """Anneal ``cover`` in place from its feasible set; returns
-    ``cover.solution``, which then holds the smallest dominating set seen.
+    """Anneal ``cover`` in place from its feasible set, leave it holding the
+    smallest dominating set seen, and return that as ``cover.solution``.
 
     ``seed`` seeds the move rng; the draws consume it exactly as
     ``randrange`` would (see the module docstring); an exchange counts its

@@ -13,6 +13,7 @@ import json
 import signal
 import sys
 import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -73,6 +74,9 @@ def _write_output(text: str, out: str | None) -> bool:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    # The budget counts from here, so reading and parsing spend it too.
+    start = time.perf_counter()
+    cfg = _solver_config(args)
     # Handlers before the read: a stop while reading or parsing is kept.
     stop = threading.Event()
     previous = {}
@@ -84,7 +88,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     trace: list[StageTrace] | None = [] if args.trace else None
     try:
         g = parse_ds(_read_input(args.input))
-        sol = solve(g, _solver_config(args), trace=trace, stop=stop)
+        if cfg.wallclock:
+            # A budget the read used up becomes a tiny one: it expires at the first poll.
+            left = cfg.time_budget_ms - (time.perf_counter() - start) * 1000.0
+            cfg = replace(cfg, time_budget_ms=max(left, sys.float_info.min))
+        sol = solve(g, cfg, trace=trace, stop=stop)
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)

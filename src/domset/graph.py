@@ -106,54 +106,38 @@ class Graph:
 
 
 class Solution:
-    """Dominator list with O(1) membership flags.
+    """A dominating set as a run hands it back: ``n`` and the member list.
 
-    ``add`` and ``from_members`` append, so a fresh solution lists its
-    members in insertion order. A :class:`~domset.state.Cover` built over
-    it takes that order as insertion order, and its drops reorder the list;
-    ``Cover.in_order`` then gives the insertion order.
+    A Solution is an answer, not the set under construction: the run's
+    :class:`~domset.state.Cover` owns that set, and ``cover.solution`` is a
+    snapshot of it that shares no list with the Cover.
     """
 
-    __slots__ = ("members", "in_set")
+    __slots__ = ("n", "members")
 
     def __init__(self, n: int) -> None:
+        self.n = n
         self.members: list[int] = []
-        self.in_set: list[bool] = [False] * n
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "Solution":
+        """``members`` in their order; ValueError for one outside 0..n-1 or repeated."""
         sol = cls(n)
-        for v in members:
-            if not sol.add(v):
+        sol.members = list(members)
+        seen = [False] * n
+        for v in sol.members:
+            if not 0 <= v < n:
+                raise ValueError(f"member {v} out of range 0..{n - 1}")
+            if seen[v]:
                 raise ValueError(f"duplicate member {v}")
+            seen[v] = True
         return sol
-
-    @property
-    def n(self) -> int:
-        return len(self.in_set)
-
-    def add(self, v: int) -> bool:
-        """Append ``v`` unless already present; returns True when added.
-        Raises ValueError for an ID outside 0..n-1."""
-        if not 0 <= v < len(self.in_set):
-            raise ValueError(f"member {v} out of range 0..{len(self.in_set) - 1}")
-        if self.in_set[v]:
-            return False
-        self.members.append(v)
-        self.in_set[v] = True
-        return True
-
-    def copy(self) -> "Solution":
-        dup = Solution.__new__(Solution)
-        dup.members = list(self.members)
-        dup.in_set = list(self.in_set)
-        return dup
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __repr__(self) -> str:
-        return f"Solution(size={len(self.members)}, n={len(self.in_set)})"
+        return f"Solution(size={len(self.members)}, n={self.n})"
 
 
 MAX_VERTICES = 2**31 - 1
@@ -306,7 +290,8 @@ def parse_solution(data: bytes | str, n: int) -> Solution:
     match the number of vertex lines and every ID to be in 1..n, unique.
     """
     size = -1
-    sol = Solution(n)
+    members: list[int] = []
+    seen = [False] * n
     for lineno, parts in _content_lines(_decode(data)):
         if len(parts) != 1:
             raise ParseError(lineno, f"expected a single integer, got {len(parts)} tokens")
@@ -314,15 +299,16 @@ def parse_solution(data: bytes | str, n: int) -> Solution:
         if size < 0:
             size = value
             continue
-        if len(sol) >= size:
+        if len(members) >= size:
             raise ParseError(lineno, f"more vertex lines than the declared size {size}")
         if not 1 <= value <= n:
             raise ParseError(lineno, f"vertex ID out of range 1..{n}")
-        if sol.in_set[value - 1]:
+        if seen[value - 1]:
             raise ParseError(lineno, f"duplicate vertex {value}")
-        sol.add(value - 1)
+        seen[value - 1] = True
+        members.append(value - 1)
     if size < 0:
         raise ParseError(None, "missing solution size line")
-    if len(sol) < size:
-        raise ParseError(None, f"declared size {size} but found only {len(sol)} vertices")
-    return sol
+    if len(members) < size:
+        raise ParseError(None, f"declared size {size} but found only {len(members)} vertices")
+    return Solution.from_members(n, members)

@@ -89,7 +89,7 @@ def lazy_greedy(cover: Cover, budget: Budget = UNBOUNDED) -> None:
 
 def greedy_ln(g: Graph, budget: Budget = UNBOUNDED) -> Solution:
     """Plain greedy baseline: repeatedly take the vertex that newly dominates
-    the most vertices. No reductions, no pruning."""
+    the most vertices. No reductions, no pruning; returns ``cover.solution``."""
     cover = compute_cover_counts(g)
     lazy_greedy(cover, budget)
     return cover.solution

@@ -78,7 +78,7 @@ def solve(
     trace: list[StageTrace] | None = None,
     stop: threading.Event | None = None,
 ) -> Solution:
-    """Run the configured algorithm and return a verified dominating set.
+    """Run the configured algorithm and return ``cover.solution``, verified.
 
     ``trace`` collects the size and elapsed ms after every stage: hedom5
     records reductions, greedy, prune, swap and patch; greedy records
@@ -91,10 +91,9 @@ def solve(
 
     def record(stage: str) -> None:
         if trace is not None:
-            trace.append(StageTrace(stage, len(sol), (time.perf_counter() - start) * 1000.0))
+            trace.append(StageTrace(stage, len(cover.members), (time.perf_counter() - start) * 1000.0))
 
     cover = compute_cover_counts(g)
-    sol = cover.solution
     if cfg.algorithm == "hedom5":
         apply_isolate_rule(cover)
         apply_leaf_rule(cover)
@@ -114,6 +113,7 @@ def solve(
 
     safety_patch(cover)
     record("patch")
+    sol = cover.solution
     report = verify(g, sol)
     if not report.valid:
         raise RuntimeError(f"internal error: solver left vertex {report.first_uncovered} uncovered")

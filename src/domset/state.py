@@ -1,6 +1,6 @@
-"""Per-run solver state shared by the stages: the :class:`Cover` record of
-how often each vertex is dominated, and the :class:`Budget` that says when a
-run must stop."""
+"""Per-run solver state shared by the stages: the :class:`Cover` that owns
+the set under construction and how often each vertex is dominated, and the
+:class:`Budget` that says when a run must stop."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import itertools
 import math
 import threading
 import time
+from typing import Iterable
 
 from .graph import Graph, Solution
 
@@ -15,15 +16,16 @@ __all__ = ["Budget", "Cover", "compute_cover_counts"]
 
 
 class Cover:
-    """Domination counts of a vertex set, kept in step with its membership
-    and member order.
+    """The set under construction: its membership, member order and how
+    often each vertex is dominated.
 
     ``counts[x]`` is the number of members whose closed neighborhood
-    contains ``x``, so ``x`` is dominated iff ``counts[x] > 0``. ``in_set``
-    and ``members`` are the flag list and member list of ``solution``, and
-    a new Cover loads that list in its order. :meth:`load` sets the whole
-    state from a member list, :meth:`add` and :meth:`drop` change it one
-    vertex at a time, and no other code changes a Cover or its lists.
+    contains ``x``, so ``x`` is dominated iff ``counts[x] > 0``. The Cover
+    owns its flag list ``in_set`` and member list ``members``: a new Cover
+    loads ``members`` in their order, :meth:`load` sets the whole state
+    from a member list, :meth:`add` and :meth:`drop` change it one vertex at
+    a time, and no other code changes a Cover or its lists. What a run hands
+    back is :attr:`solution`, a snapshot that shares no list with the Cover.
     ``members`` is a pick array: ``members[pos[v]] == v``, and a drop moves
     the last member into the freed slot, so both moves are O(deg).
     Insertion order, which the prune and the swap sweeps read, is kept
@@ -32,18 +34,15 @@ class Cover:
     that a move reads ``N(v)`` with one attribute lookup.
     """
 
-    __slots__ = ("g", "adj", "solution", "in_set", "members", "counts", "pos", "stamp", "clock")
+    __slots__ = ("g", "adj", "in_set", "members", "counts", "pos", "stamp", "clock")
 
-    def __init__(self, g: Graph, solution: Solution) -> None:
+    def __init__(self, g: Graph, members: Iterable[int] = ()) -> None:
         self.g = g
         self.adj = g.adj
-        self.solution = solution
-        self.in_set = solution.in_set
-        self.members = solution.members
-        self.counts, self.pos, self.stamp = [], [], []  # sized by load
-        self.load(solution.members)
+        self.in_set, self.members, self.counts, self.pos, self.stamp = [], [], [], [], []  # sized by load
+        self.load(members)
 
-    def load(self, members: list[int]) -> None:
+    def load(self, members: Iterable[int]) -> None:
         """Make ``members`` (distinct vertex IDs) the set, counted from
         scratch, with their order as both pick order and insertion order.
         Raises ValueError, with the Cover unchanged, for an ID outside
@@ -99,12 +98,18 @@ class Cover:
         """The members in insertion order, oldest first."""
         return sorted(self.members, key=self.stamp.__getitem__)
 
+    @property
+    def solution(self) -> Solution:
+        """A new :class:`Solution` of the members in pick order, which
+        later moves on the Cover leave unchanged."""
+        return Solution.from_members(self.g.n, self.members)
+
 
 def compute_cover_counts(g: Graph, sol: Solution | None = None) -> Cover:
-    """The Cover of ``sol`` (a fresh empty set by default), counted from
-    scratch: it shares ``sol``'s flags and member list and takes the list's
-    order as insertion order."""
-    return Cover(g, sol if sol is not None else Solution(g.n))
+    """A new Cover of ``sol``'s members (the empty set by default), counted
+    from scratch, with their order as insertion order; ``sol`` itself is
+    left untouched."""
+    return Cover(g, sol.members if sol is not None else ())
 
 
 # Greedy and the swap phase poll their budget once per this many units of

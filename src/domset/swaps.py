@@ -82,14 +82,14 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
     """Sweep the members attempting one swap each, for at most
     ``attempt_cap`` sweeps or until ``budget`` expires.
 
-    Unless ``budget`` has already expired, the phase opens with one full
-    backward prune pass, after which no member is redundant; a set that is
-    already prune-minimal, as the pipeline's is, loses nothing to it. From
-    then on an exchange raises counts only on N[t] of the vertex t it adds,
-    so a prune of the members near t, newest first, harvests exactly the
-    follow-on removals the full pass would. So no attempted member is ever
-    redundant, which is why :func:`try_one_swap` only exchanges. The set
-    size never increases. Each sweep takes the members in insertion order
+    ``cover`` must hold a prune-minimal dominating set, as the pipeline's
+    is after its full :func:`backward_prune`: no member is redundant. An
+    exchange raises counts only on N[t] of the vertex t it adds, so a prune
+    of the members near t, newest first, harvests exactly the follow-on
+    removals the full pass would, and the set stays prune-minimal. So no
+    attempted member is ever redundant, which is why :func:`try_one_swap`
+    only exchanges. A budget that has already expired changes nothing. The
+    set size never increases. Each sweep takes the members in insertion order
     (:meth:`Cover.in_order`) and shuffles them with ``rng``, which keeps the
     equal-size exchanges walking new plateaus instead of oscillating; a
     seeded rng makes the phase reproducible. A sweep that applies nothing
@@ -100,7 +100,6 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
         raise ValueError(f"attempt_cap must be strictly positive, got {attempt_cap}")
     if budget.expired():
         return
-    backward_prune(cover)
     in_set = cover.in_set
     degree = cover.g.degree
     checks = 0

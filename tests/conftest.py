@@ -77,11 +77,7 @@ def random_instance(rng: random.Random, kind: int) -> Graph:
 
 def random_partial_set(rng: random.Random, g: Graph) -> Solution:
     """Each vertex joins with one rate drawn per vertex from 0, 5% and 20%."""
-    sol = Solution(g.n)
-    for v in range(g.n):
-        if rng.random() < rng.choice((0.0, 0.05, 0.2)):
-            sol.add(v)
-    return sol
+    return Solution.from_members(g.n, [v for v in range(g.n) if rng.random() < rng.choice((0.0, 0.05, 0.2))])
 
 
 def eager_continuation(g: Graph, sol: Solution) -> list[int]:
@@ -185,7 +181,7 @@ def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int
     ``is_redundant`` and ``unique_of`` plus a set: removal,
     exchange and addition proposals in the mix 0.4 : 0.4 : 0.2. Returns the
     best members in the order ``sa_solve`` must give them."""
-    cover = compute_cover_counts(g, seed_solution.copy())
+    cover = compute_cover_counts(g, seed_solution)
     cur = cover.members
     in_set = cover.in_set
     best = list(cur)

@@ -267,8 +267,9 @@ def test_c7_reduction_soundness_on_leafy_instances(monkeypatch):
         assert len(with_stage0) >= gamma
         if len(with_stage0) > len(without_stage0):
             size_regressions.append((i - 1, len(with_stage0), len(without_stage0)))
+        chosen = set(with_stage0.members)
         for v in range(g.n):
-            if g.degree[v] == 0 and not with_stage0.in_set[v]:
+            if g.degree[v] == 0 and v not in chosen:
                 isolate_misses.append((i - 1, v))
     elapsed = time.perf_counter() - start
     ok = not size_regressions and not isolate_misses

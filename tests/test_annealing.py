@@ -56,7 +56,7 @@ def test_config_validation():
 def test_sa_keeps_optimal_seed():
     g = star_graph(4)
     seed = Solution.from_members(5, [0])
-    out = sa_solve(compute_cover_counts(g, seed.copy()), AnnealConfig(max_epochs=30), seed=1)
+    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(max_epochs=30), seed=1)
     assert len(out) == 1
     assert verify(g, out).valid
 
@@ -64,7 +64,7 @@ def test_sa_keeps_optimal_seed():
 def test_sa_improves_oversized_seed():
     g = path_graph(4)
     seed = Solution.from_members(4, [0, 1, 2])
-    out = sa_solve(compute_cover_counts(g, seed.copy()), AnnealConfig(max_epochs=60), seed=3)
+    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(max_epochs=60), seed=3)
     assert len(out) == 2
     assert brute_force_optimum(g)[0] == 2
     assert verify(g, out).valid
@@ -73,7 +73,7 @@ def test_sa_improves_oversized_seed():
 def test_sa_zero_time_budget_returns_seed():
     g = path_graph(4)
     seed = Solution.from_members(4, [0, 1, 2])
-    out = sa_solve(compute_cover_counts(g, seed.copy()), AnnealConfig(), seed=3, budget=Budget(0))
+    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(), seed=3, budget=Budget(0))
     assert sorted(out.members) == [0, 1, 2]
 
 
@@ -85,7 +85,7 @@ def test_sa_rejects_invalid_seed():
     out_of_range = Solution.from_members(5, [1, 3])
     out_of_range.members.append(-1)
     with pytest.raises(ValueError, match="member -1 out of range"):
-        sa_solve(compute_cover_counts(g, out_of_range.copy()), AnnealConfig(max_epochs=1))
+        sa_solve(compute_cover_counts(g, out_of_range), AnnealConfig(max_epochs=1))
 
 
 def test_sa_never_worse_than_seed_and_always_valid():
@@ -96,7 +96,7 @@ def test_sa_never_worse_than_seed_and_always_valid():
         # One move per epoch: the domination check sa_solve makes after
         # every epoch runs after every move.
         out = sa_solve(
-            compute_cover_counts(g, seed.copy()), AnnealConfig(moves_per_epoch=1, max_epochs=1000), seed=rng.randrange(100)
+            compute_cover_counts(g, seed), AnnealConfig(moves_per_epoch=1, max_epochs=1000), seed=rng.randrange(100)
         )
         assert len(out) <= len(seed)
         assert verify(g, out).valid
@@ -106,8 +106,8 @@ def test_sa_reproducible_with_fixed_seed():
     g = gnp(30, 0.2, seed=12)
     seed = greedy_ln(g)
     cfg = AnnealConfig(max_epochs=25)
-    first = sa_solve(compute_cover_counts(g, seed.copy()), cfg, seed=42)
-    second = sa_solve(compute_cover_counts(g, seed.copy()), cfg, seed=42)
+    first = sa_solve(compute_cover_counts(g, seed), cfg, seed=42)
+    second = sa_solve(compute_cover_counts(g, seed), cfg, seed=42)
     assert first.members == second.members
 
 
@@ -128,7 +128,7 @@ def test_sa_matches_reference_loop():
             max_epochs=rng.randint(0, 15),
         )
         seed = rng.randrange(10**6)
-        out = sa_solve(compute_cover_counts(g, seed_solution.copy()), cfg, seed=seed)
+        out = sa_solve(compute_cover_counts(g, seed_solution), cfg, seed=seed)
         assert out.members == reference_sa(g, seed_solution, cfg, seed), (case, cfg)
 
 
@@ -139,7 +139,7 @@ def test_sa_leaves_the_cover_holding_the_best_set_in_insertion_order():
     g = Graph.from_edges(8, [(0, 2), (0, 6), (1, 5), (1, 6), (3, 7), (4, 5), (4, 7)])
     seed_solution = Solution.from_members(8, [0, 1, 2, 4, 6, 7])
     cfg = AnnealConfig(initial_temperature=0.1, moves_per_epoch=3, max_epochs=1)
-    cover = compute_cover_counts(g, seed_solution.copy())
+    cover = compute_cover_counts(g, seed_solution)
     assert sa_solve(cover, cfg, seed=49).members == reference_sa(g, seed_solution, cfg, 49) == [0, 1, 2, 7, 6]
     assert cover.in_order() == cover.members
     rng = random.Random(8)
@@ -147,7 +147,7 @@ def test_sa_leaves_the_cover_holding_the_best_set_in_insertion_order():
         g = random_instance(rng, case % 4)
         seed_solution = Solution.from_members(g.n, range(g.n))
         cfg = AnnealConfig(initial_temperature=0.1, moves_per_epoch=rng.randint(1, 5), max_epochs=rng.randint(0, 3))
-        cover = compute_cover_counts(g, seed_solution.copy())
+        cover = compute_cover_counts(g, seed_solution)
         sa_solve(cover, cfg, seed=case)
         assert cover.members == reference_sa(g, seed_solution, cfg, case), case
         assert cover.in_order() == cover.members, case
@@ -209,7 +209,7 @@ def test_sa_polls_its_budget_every_256_moves(monkeypatch, moves_per_epoch):
     expected = [e * moves_per_epoch + b for e in range(epochs) for b in range(0, moves_per_epoch, 256)]
     for trip in (None, 1, 2, len(expected)):
         budget = _PollRecordingBudget(trip)
-        cover = compute_cover_counts(g, seed_solution.copy())
+        cover = compute_cover_counts(g, seed_solution)
 
         def counting_random(seed):
             budget.rng = _MoveCountingRandom(seed, cover.in_set)

@@ -1,15 +1,16 @@
+import json
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
 
 import domset.cli
-from domset import AnnealConfig, SolverConfig, generate_instance, parse_ds
+from domset import AnnealConfig, SolverConfig, generate_instance, parse_ds, parse_solution, verify
 from domset.cli import main
 
 STAR5 = "p ds 5 4\n1 2\n1 3\n1 4\n1 5\n"
@@ -318,10 +319,56 @@ def test_solver_flags_left_out_take_the_config_defaults(tmp_path, capsys, monkey
     assert run_cli("solve", str(inst)) == 0
     assert run_cli("solve", str(inst), "--algo", "sa", "--seed", "5", "--sa-epochs", "3", "--no-wallclock") == 0
     assert capsys.readouterr().out == "1\n1\n" * 2
-    assert seen == [
+    # A wall-clock run gets what the read left of its budget.
+    default_ms = _OtherSolver().time_budget_ms
+    assert 0 < seen[0].time_budget_ms <= default_ms
+    assert [replace(seen[0], time_budget_ms=default_ms), seen[1]] == [
         _OtherSolver(),
         _OtherSolver(algorithm="sa", seed=5, wallclock=False, anneal=_OtherAnneal(max_epochs=3)),
     ]
+
+
+def test_reading_and_parsing_spend_the_time_budget(tmp_path, capsys, monkeypatch):
+    # The budget counts from before the read, so solve gets what a slow
+    # read and parse left of it. An attempt-counted run has no budget to
+    # spend, and a budget the read used up expires at greedy's first poll:
+    # the patch alone completes the set, which still verifies.
+    delay = 0.2
+    real_parse = domset.cli.parse_ds
+
+    def slow_parse(data):
+        time.sleep(delay)
+        return real_parse(data)
+
+    seen = []
+    real_solve = domset.cli.solve
+
+    def recording_solve(g, cfg, **kwargs):
+        seen.append(cfg)
+        return real_solve(g, cfg, **kwargs)
+
+    monkeypatch.setattr(domset.cli, "parse_ds", slow_parse)
+    monkeypatch.setattr(domset.cli, "solve", recording_solve)
+    g, text = generate_instance("gnp", 3, n=500, p=0.01)
+    inst = tmp_path / "g.ds"
+    inst.write_text(text)
+
+    def verified(out: str) -> bool:
+        return verify(g, parse_solution(out, g.n)).valid
+
+    assert run_cli("solve", str(inst), "--time-budget", "500") == 0
+    assert 0 < seen[0].time_budget_ms <= 300
+    assert verified(capsys.readouterr().out)
+    assert run_cli("solve", str(inst), "--time-budget", "500", "--no-wallclock") == 0
+    assert seen[1] == SolverConfig(time_budget_ms=500, wallclock=False)
+    assert verified(capsys.readouterr().out)
+    delay = 0.3
+    assert run_cli("solve", str(inst), "--time-budget", "100", "--trace") == 0
+    captured = capsys.readouterr()
+    assert verified(captured.out)
+    trace = [json.loads(line) for line in captured.err.splitlines()]
+    assert [t["stage"] for t in trace] == ["reductions", "greedy", "patch"]
+    assert trace[1]["size"] == trace[0]["size"] < trace[2]["size"]
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])

@@ -195,19 +195,20 @@ def test_solution_from_members_validates():
         Solution.from_members(3, [5])
 
 
-def test_solution_add():
-    sol = Solution(4)
-    assert sol.add(2)
-    assert not sol.add(2)
-    assert sol.add(0)
+def test_solution_from_members_keeps_order_and_rejects_bad_ids():
+    members = [2, 0]
+    sol = Solution.from_members(4, members)
     assert sol.members == [2, 0]
-    # An ID out of range is rejected; a negative one must not index in_set
-    # from the end.
+    assert (sol.n, len(sol)) == (4, 2)
+    members.append(1)  # the Solution holds its own list
+    assert sol.members == [2, 0]
+    with pytest.raises(ValueError, match="duplicate member 2"):
+        Solution.from_members(4, [2, 0, 2])
+    # An ID out of range is rejected; a negative one must not index a flag
+    # list from the end.
     for v in (-1, 4):
         with pytest.raises(ValueError, match="out of range 0..3"):
-            sol.add(v)
-    assert sol.members == [2, 0]
-    assert sol.in_set == [True, False, True, False]
+            Solution.from_members(4, [2, 0, v])
 
 
 def _fuzz_bases() -> list[bytes]:

@@ -169,12 +169,12 @@ def test_lazy_greedy_stops_exactly_when_every_vertex_is_dominated(monkeypatch):
     for i in range(40):
         g = random_instance(rng, i % 4)
         start = random_partial_set(rng, g)
-        full = compute_cover_counts(g, start.copy())
+        full = compute_cover_counts(g, start)
         lazy_greedy(full)
         assert 0 not in full.counts
         for k in range(1, g.n + 2):
             budget = _TripsAtPoll(k)
-            cover = compute_cover_counts(g, start.copy())
+            cover = compute_cover_counts(g, start)
             lazy_greedy(cover, budget)
             assert cover.members == full.members[: len(cover.members)], (i, k)
             if budget.polls < k:
@@ -244,8 +244,8 @@ def test_lazy_greedy_matches_heap_reference_at_scale():
         apply_leaf_rule(reduced)
         starts = [Solution(g.n), reduced.solution, random_partial_set(rng, g)]
         for start in starts:
-            cover = compute_cover_counts(g, start.copy())
-            expected = compute_cover_counts(g, start.copy())
+            cover = compute_cover_counts(g, start)
+            expected = compute_cover_counts(g, start)
             lazy_greedy(cover)
             reference_heap_greedy(expected)
             assert cover.members == expected.members
@@ -256,7 +256,7 @@ def test_lazy_greedy_matches_heap_reference_at_scale():
 def test_lazy_greedy_expired_budget_adds_nothing():
     g = gnp(500, 0.01, seed=8)
     for start in (Solution(g.n), random_partial_set(random.Random(8), g)):
-        cover = compute_cover_counts(g, start.copy())
+        cover = compute_cover_counts(g, start)
         counts = list(cover.counts)
         lazy_greedy(cover, Budget(0))
         assert cover.members == start.members

@@ -14,16 +14,24 @@ from domset import (
     Graph,
     Solution,
     SolverConfig,
+    apply_isolate_rule,
+    apply_leaf_rule,
+    backward_prune,
     brute_force_optimum,
     compute_cover_counts,
     generate_instance,
     gnp,
+    greedy_ln,
+    lazy_greedy,
+    sa_solve,
+    safety_patch,
     solve,
+    swap_phase,
     verify,
     write_solution,
 )
 
-from conftest import path_graph, star_graph
+from conftest import path_graph, random_partial_set, star_graph
 
 
 def _cfg(**kwargs) -> SolverConfig:
@@ -264,7 +272,57 @@ def test_solve_builds_one_cover_per_run(monkeypatch, algo, stopped):
     assert verify(g, sol).valid
     assert len(built) == 1
     assert len(patched) == 1 and patched[0] is built[0]
-    assert sol is built[0].solution
+    assert sol.members == built[0].members and sol.members is not built[0].members
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_a_cover_leaves_the_solution_it_was_built_from_untouched(algo):
+    # The Cover copies the members it is handed: no stage of any algorithm
+    # writes through to the caller's Solution.
+    g = generate_instance("gnp", 5, n=300, p=0.03)[0]
+    sol = random_partial_set(random.Random(3), g)
+    before = list(sol.members)
+    cover = compute_cover_counts(g, sol)
+    stages = {
+        "hedom5": [
+            apply_isolate_rule,
+            apply_leaf_rule,
+            lazy_greedy,
+            backward_prune,
+            lambda c: swap_phase(c, 3, Budget(), random.Random(1)),
+        ],
+        "greedy": [lazy_greedy],
+        "sa": [lazy_greedy, lambda c: sa_solve(c, AnnealConfig(initial_temperature=0.1, max_epochs=5), seed=1)],
+    }[algo] + [safety_patch]
+    for stage in stages:
+        stage(cover)
+        assert sol.members == before
+        assert sol.members is not cover.members
+    assert cover.members != before  # the stages did change the set
+
+
+def test_no_solution_shares_a_list_with_a_live_cover(monkeypatch):
+    # Every Solution a run or a stage hands back, and cover.solution, is a
+    # snapshot: it holds no list of any Cover, and has no flags or writers.
+    built = []
+    real_init = domset.state.Cover.__init__
+
+    def recording_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(domset.state.Cover, "__init__", recording_init)
+    g = generate_instance("grid", 5, rows=12, cols=15)[0]
+    sols = [greedy_ln(g)]
+    cover = compute_cover_counts(g, sols[0])
+    sols.append(cover.solution)
+    sols.append(sa_solve(cover, AnnealConfig(initial_temperature=0.1, max_epochs=5), seed=2))
+    sols.extend(solve(g, _cfg(algorithm=algo)) for algo in ALGORITHMS)
+    assert len(built) == 5
+    cover_lists = {id(lst) for c in built for lst in (c.members, c.in_set, c.counts, c.pos, c.stamp)}
+    assert all(id(s.members) not in cover_lists for s in sols)
+    assert all(verify(g, s).valid for s in sols)
+    assert not any(hasattr(s, name) for s in sols for name in ("in_set", "add", "copy"))
 
 
 def _assert_cover_consistent(cover) -> None:
@@ -323,7 +381,7 @@ def test_the_runs_one_cover_stays_consistent_after_every_stage(monkeypatch, algo
             if _name in DOMINATING_AFTER:
                 assert 0 not in cover.counts, _name
             if _name == "sa_solve":
-                assert result is cover.solution
+                assert result.members == cover.members and result.members is not cover.members
                 assert cover.in_order() == cover.members
             seen.append((_name, cover, before, len(cover.members)))
             return result
@@ -340,7 +398,7 @@ def test_the_runs_one_cover_stays_consistent_after_every_stage(monkeypatch, algo
     }[algo]
     assert stages == expected
     assert all(cover is seen[0][1] for _, cover, *_ in seen)
-    assert sol is seen[0][1].solution
+    assert sol.members == seen[0][1].members and sol.members is not seen[0][1].members
     # The set each stage leaves is what the trace records, and the patch
     # adds nothing to a set that already dominates.
     sizes = {t.stage: t.size for t in trace}

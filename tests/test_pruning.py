@@ -32,8 +32,8 @@ def test_backward_prune_path_example():
     sol = Solution.from_members(3, [2, 1])
     cover = compute_cover_counts(g, sol)
     backward_prune(cover)
-    assert sol.members == [1]
-    assert verify(g, sol).valid
+    assert cover.members == [1]
+    assert verify(g, cover.solution).valid
 
 
 def test_backward_prune_keeps_minimal_solution():
@@ -41,7 +41,7 @@ def test_backward_prune_keeps_minimal_solution():
     sol = Solution.from_members(5, [0])
     cover = compute_cover_counts(g, sol)
     backward_prune(cover)
-    assert sol.members == [0]
+    assert cover.members == [0]
 
 
 def test_backward_prune_triangle_full_set():
@@ -49,32 +49,32 @@ def test_backward_prune_triangle_full_set():
     sol = Solution.from_members(3, [0, 1, 2])
     cover = compute_cover_counts(g, sol)
     backward_prune(cover)
-    assert len(sol) == 1
-    assert verify(g, sol).valid
+    assert len(cover.members) == 1
+    assert verify(g, cover.solution).valid
 
 
 def test_prune_properties_on_random_solutions():
     rng = random.Random(2024)
     for _ in range(40):
         g = gnp(rng.randint(1, 50), rng.uniform(0.02, 0.4), rng.randrange(10**6))
-        sol = greedy_ln(g)
+        members = greedy_ln(g).members
         # pad with random extra members so there is something to prune
-        extras = [v for v in range(g.n) if not sol.in_set[v]]
+        taken = set(members)
+        extras = [v for v in range(g.n) if v not in taken]
         rng.shuffle(extras)
-        for v in extras[: g.n // 3]:
-            sol.add(v)
+        sol = Solution.from_members(g.n, members + extras[: g.n // 3])
         before = len(sol)
         cover = compute_cover_counts(g, sol)
         backward_prune(cover)
-        assert len(sol) <= before
-        assert verify(g, sol).valid
+        assert len(cover.members) <= before
+        assert verify(g, cover.solution).valid
         # live counts match a fresh recomputation
-        assert cover.counts == compute_cover_counts(g, sol).counts
+        assert cover.counts == compute_cover_counts(g, cover.solution).counts
         assert 0 not in cover.counts
         # a second pass over the pruned set removes nothing
-        again = list(sol.members)
-        backward_prune(compute_cover_counts(g, sol))
-        assert sol.members == again
+        again = compute_cover_counts(g, cover.solution)
+        backward_prune(again)
+        assert again.members == cover.members
 
 
 def test_prune_preserves_surviving_order():
@@ -82,5 +82,5 @@ def test_prune_preserves_surviving_order():
     sol = Solution.from_members(6, [4, 1, 3, 0])
     cover = compute_cover_counts(g, sol)
     backward_prune(cover)
-    order = [v for v in [4, 1, 3, 0] if sol.in_set[v]]
+    order = [v for v in [4, 1, 3, 0] if cover.in_set[v]]
     assert cover.in_order() == order

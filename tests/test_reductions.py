@@ -95,12 +95,12 @@ def test_add_to_d_bookkeeping_matches_recomputation():
 
 def test_cover_load_after_random_moves_equals_a_fresh_cover():
     # load sets the whole state from scratch, whatever moves came before,
-    # in the given order, and keeps the Cover's lists and its Solution.
+    # in the given order, and keeps the Cover's lists.
     rng = random.Random(1717)
     for case in range(120):
         g = random_instance(rng, case % 4)
         cover = compute_cover_counts(g, random_partial_set(rng, g))
-        lists = (cover.solution, cover.members, cover.in_set, cover.counts, cover.pos, cover.stamp)
+        lists = (cover.members, cover.in_set, cover.counts, cover.pos, cover.stamp)
         for _ in range(rng.randint(0, 3 * g.n)):
             v = rng.randrange(g.n)
             if cover.in_set[v]:
@@ -118,13 +118,30 @@ def test_cover_load_after_random_moves_equals_a_fresh_cover():
         assert cover.pos == fresh.pos
         assert cover.members == m
         assert cover.in_order() == m
-        now = (cover.solution, cover.members, cover.in_set, cover.counts, cover.pos, cover.stamp)
+        now = (cover.members, cover.in_set, cover.counts, cover.pos, cover.stamp)
         assert all(a is b for a, b in zip(lists, now))
+        assert cover.solution.members == m
         # The next add is the newest member.
         if len(m) < g.n:
             v = rng.choice([x for x in range(g.n) if not cover.in_set[x]])
             cover.add(v)
             assert cover.in_order() == m + [v]
+
+
+def test_cover_solution_is_a_snapshot():
+    # cover.solution copies the members in pick order; later moves on the
+    # Cover leave it as it was, and each read is a new Solution.
+    g = path_graph(5)
+    cover = compute_cover_counts(g, Solution.from_members(5, [1, 3]))
+    snap = cover.solution
+    assert (snap.n, snap.members) == (5, [1, 3])
+    assert snap.members is not cover.members
+    cover.add(0)
+    cover.drop(1)
+    assert snap.members == [1, 3]
+    assert cover.members == [0, 3]  # the drop moved the last member into 1's slot
+    assert cover.solution.members == [0, 3]
+    assert cover.solution is not cover.solution
 
 
 def test_cover_load_rejects_an_out_of_range_member_unchanged():

@@ -108,22 +108,22 @@ def test_try_one_swap_leaves_a_redundant_member_to_the_prune():
     before_counts = list(cover.counts)
     assert unique_of(cover, 3) == []
     assert try_one_swap(cover, 3) is None
-    assert sol.members == [0, 2, 3]
+    assert cover.members == [0, 2, 3]
     assert cover.counts == before_counts
     backward_prune(cover)
-    assert sol.members == [0, 2]
-    assert verify(g, sol).valid
-    assert cover.counts == compute_cover_counts(g, sol).counts
+    assert cover.members == [0, 2]
+    assert verify(g, cover.solution).valid
+    assert cover.counts == compute_cover_counts(g, cover.solution).counts
 
 
 def test_try_one_swap_no_candidate_leaves_state_alone():
     g = star_graph(3)
     sol = Solution.from_members(4, [0])
     cover = compute_cover_counts(g, sol)
-    before_members = list(sol.members)
+    before_members = list(cover.members)
     before_counts = list(cover.counts)
     assert try_one_swap(cover, 0) is None
-    assert sol.members == before_members
+    assert cover.members == before_members
     assert cover.counts == before_counts
 
 
@@ -136,20 +136,20 @@ def test_try_one_swap_exchange_on_cycle():
     assert unique_of(cover, 0) == [0]
     move = try_one_swap(cover, 0)
     assert move == SwapMove(removed=0, added=1)
-    assert sorted(sol.members) == [1, 2]
-    assert len(sol) == 2
-    assert verify(g, sol).valid
-    assert cover.counts == compute_cover_counts(g, sol).counts
+    assert sorted(cover.members) == [1, 2]
+    assert len(cover.members) == 2
+    assert verify(g, cover.solution).valid
+    assert cover.counts == compute_cover_counts(g, cover.solution).counts
 
 
 def test_swap_phase_expired_budget_changes_nothing():
-    # Greedy's {0, 3, 5} plus a redundant 1: not even the entry prune runs.
+    # Greedy's {0, 3, 5} plus a redundant 1: no sweep runs.
     g = cycle_graph(8)
     sol = Solution.from_members(8, [*greedy_ln(g).members, 1])
     cover = compute_cover_counts(g, sol)
-    before = list(sol.members)
+    before = list(cover.members)
     swap_phase(cover, attempt_cap=10, budget=Budget(1e-9), rng=random.Random(0))
-    assert sol.members == before
+    assert cover.members == before
 
 
 def test_swap_phase_fixpoint_stops_early():
@@ -157,7 +157,7 @@ def test_swap_phase_fixpoint_stops_early():
     sol = Solution.from_members(6, [0])
     cover = compute_cover_counts(g, sol)
     swap_phase(cover, attempt_cap=50, budget=Budget(None), rng=random.Random(0))
-    assert sol.members == [0]
+    assert cover.members == [0]
 
 
 class _AttemptRecordingBudget(Budget):
@@ -194,7 +194,9 @@ def test_swap_phase_polls_within_a_poll_batch_of_attempted_work(monkeypatch):
     for g in graphs:
         attempts.clear()
         budget = _AttemptRecordingBudget(attempts)
-        swap_phase(compute_cover_counts(g, greedy_ln(g)), attempt_cap=3, budget=budget, rng=random.Random(2))
+        cover = compute_cover_counts(g, greedy_ln(g))
+        backward_prune(cover)
+        swap_phase(cover, attempt_cap=3, budget=budget, rng=random.Random(2))
         assert budget.polls[0] == 0 and len(budget.polls) > 3
         weight = [g.degree[w] + 1 for w in attempts]
         ends = budget.polls[1:] + [len(attempts)]
@@ -206,9 +208,9 @@ def test_swap_phase_polls_within_a_poll_batch_of_attempted_work(monkeypatch):
 
 
 def _assert_consistent(cover) -> None:
-    """What swap_phase keeps from its entry prune on, after every applied
-    move and its prune: the counts and the undominated count equal a fresh
-    recount, and no member is redundant."""
+    """What swap_phase keeps from its prune-minimal start on, after every
+    applied move and its prune: the counts and the undominated count equal a
+    fresh recount, and no member is redundant."""
     fresh = compute_cover_counts(cover.g, cover.solution)
     assert cover.counts == fresh.counts, "incremental cover counts drifted"
     assert cover.counts.count(0) == fresh.counts.count(0), "incremental undominated count drifted"
@@ -216,13 +218,13 @@ def _assert_consistent(cover) -> None:
 
 
 def _checked_swap_phase(monkeypatch, cover, **kwargs) -> None:
-    """Run swap_phase with the state after its entry prune and after every
+    """Run swap_phase with the state it is handed and the state after every
     applied move checked.
 
-    After the entry prune the state changes only through applied moves and
-    the prunes that follow them, so each such state is the one the next
-    attempt, or the return of swap_phase, sees."""
-    applied = True  # the first attempt sees the entry prune's state
+    The state changes only through applied moves and the prunes that follow
+    them, so each such state is the one the next attempt, or the return of
+    swap_phase, sees."""
+    applied = True  # the first attempt sees the state swap_phase was handed
 
     def checked_try(c, w):
         nonlocal applied
@@ -241,14 +243,13 @@ def test_swap_phase_never_grows_and_stays_valid(monkeypatch):
     rng = random.Random(808)
     for _ in range(30):
         g = gnp(rng.randint(1, 40), rng.uniform(0.05, 0.4), rng.randrange(10**6))
-        sol = greedy_ln(g)
-        cover = compute_cover_counts(g, sol)
+        cover = compute_cover_counts(g, greedy_ln(g))
         backward_prune(cover)
-        size_after_prune = len(sol)
+        size_after_prune = len(cover.members)
         _checked_swap_phase(monkeypatch, cover, attempt_cap=8, budget=Budget(None), rng=random.Random(0))
-        assert len(sol) <= size_after_prune
-        assert verify(g, sol).valid
-        assert cover.counts == compute_cover_counts(g, sol).counts
+        assert len(cover.members) <= size_after_prune
+        assert verify(g, cover.solution).valid
+        assert cover.counts == compute_cover_counts(g, cover.solution).counts
 
 
 def _reference_swap_phase(cover, attempt_cap: int, rng: random.Random) -> int:
@@ -291,6 +292,7 @@ def test_local_prune_matches_full_prune_after_every_move(monkeypatch):
                 ref = compute_cover_counts(g, Solution.from_members(g.n, members))
                 later_removed += _reference_swap_phase(ref, 6, random.Random(seed))
                 cover = compute_cover_counts(g, Solution.from_members(g.n, members))
+                backward_prune(cover)
                 _checked_swap_phase(monkeypatch, cover, attempt_cap=6, budget=Budget(), rng=random.Random(seed))
                 assert cover.members == ref.members, (i, seed)
                 assert cover.counts == ref.counts
@@ -303,48 +305,45 @@ def test_swap_phase_deterministic():
     g = gnp(12, 0.3, seed=9)
     runs = []
     for _ in range(2):
-        sol = greedy_ln(g)
-        cover = compute_cover_counts(g, sol)
+        cover = compute_cover_counts(g, greedy_ln(g))
         backward_prune(cover)
         swap_phase(cover, attempt_cap=20, budget=Budget(None), rng=random.Random(7))
-        runs.append(list(sol.members))
+        runs.append(list(cover.members))
     assert runs[0] == runs[1]
 
 
 def test_safety_patch_valid_solution_untouched():
     g = path_graph(5)
-    sol = greedy_ln(g)
-    before = list(sol.members)
-    assert safety_patch(compute_cover_counts(g, sol)) == 0
-    assert sol.members == before
+    cover = compute_cover_counts(g, greedy_ln(g))
+    before = list(cover.members)
+    assert safety_patch(cover) == 0
+    assert cover.members == before
 
 
 def test_safety_patch_repairs_empty_solution():
     g = star_graph(3)
-    sol = Solution(4)
-    assert safety_patch(compute_cover_counts(g, sol)) == 1
-    assert sol.members == [0]  # the center covers all four vertices
+    cover = compute_cover_counts(g, Solution(4))
+    assert safety_patch(cover) == 1
+    assert cover.members == [0]  # the center covers all four vertices
 
 
 def test_safety_patch_isolates():
     g = Graph.from_edges(2, [])
-    sol = Solution(2)
-    assert safety_patch(compute_cover_counts(g, sol)) == 2
-    assert verify(g, sol).valid
+    cover = compute_cover_counts(g, Solution(2))
+    assert safety_patch(cover) == 2
+    assert verify(g, cover.solution).valid
 
 
 def test_safety_patch_always_terminates_valid():
     rng = random.Random(55)
     for _ in range(30):
         g = gnp(rng.randint(1, 40), rng.uniform(0, 0.3), rng.randrange(10**6))
-        sol = Solution(g.n)
         # random partial garbage
-        for v in range(g.n):
-            if rng.random() < 0.2:
-                sol.add(v)
-        added = safety_patch(compute_cover_counts(g, sol))
+        sol = Solution.from_members(g.n, [v for v in range(g.n) if rng.random() < 0.2])
+        cover = compute_cover_counts(g, sol)
+        added = safety_patch(cover)
         assert added <= g.n
-        assert verify(g, sol).valid
+        assert verify(g, cover.solution).valid
 
 
 def test_safety_patch_matches_reference_rule():
@@ -354,6 +353,7 @@ def test_safety_patch_matches_reference_rule():
         sol = random_partial_set(rng, g)
         before = list(sol.members)
         expected = eager_continuation(g, sol)
-        assert safety_patch(compute_cover_counts(g, sol)) == len(expected)
-        assert sol.members == before + expected
-        assert verify(g, sol).valid
+        cover = compute_cover_counts(g, sol)
+        assert safety_patch(cover) == len(expected)
+        assert cover.members == before + expected
+        assert verify(g, cover.solution).valid
