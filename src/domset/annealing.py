@@ -91,8 +91,7 @@ def sa_solve(
     Raises ValueError if the set does not dominate. The moves keep the
     incremental cover counts, which are checked at the end of every epoch,
     a cut-short one included. At the end :meth:`Cover.load` puts back the
-    best set in the member order it had when it was seen, which is then
-    also its insertion order.
+    best set in the member order it had when it was seen.
     """
     n = cover.g.n
     if 0 in cover.counts:
@@ -194,7 +193,6 @@ def sa_solve(
         if expired:
             break
         temperature = decay(temperature, cfg)
-    # The best set goes back in its own order: drops reorder the members,
-    # and a removal that set the best may have left them off insertion order.
+    # The best set goes back in the pick order it had when it was seen.
     cover.load(best)
     return cover.solution

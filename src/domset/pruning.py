@@ -1,4 +1,4 @@
-"""Redundancy removal: the reverse-insertion prune pass."""
+"""Redundancy removal: the backward prune pass over the pick array."""
 
 from __future__ import annotations
 
@@ -8,15 +8,16 @@ __all__ = ["backward_prune"]
 
 
 def backward_prune(cover: Cover, near: int | None = None) -> None:
-    """Single newest-first pass removing every member whose closed
+    """Single pass, last member first, removing every member whose closed
     neighborhood is still covered at least twice.
 
-    Members are scanned in reverse insertion order (:meth:`Cover.in_order`).
-    Counts are maintained live, so members that only become redundant
-    through removals later in the scan are still caught. Only redundant
-    members leave, so no count drops to zero. The redundancy test is
-    written inline, over the cover's lists as locals: a call per member
-    is measurably slower on this hot path.
+    Members are scanned from the end of the pick array ``cover.members``
+    back. Until the first drop that is reverse insertion order, as after
+    the pipeline's reductions and greedy. Counts are maintained live, so
+    members that only become redundant through removals later in the scan
+    are still caught. Only redundant members leave, so no count drops to
+    zero. The redundancy test is written inline, over the cover's lists as
+    locals: a call per member is measurably slower on this hot path.
 
     With ``near`` set, it prunes after an exchange that added ``near``:
     the caller guarantees that no member was redundant before the exchange.
@@ -25,10 +26,11 @@ def backward_prune(cover: Cover, near: int | None = None) -> None:
     a count of exactly 2, with v as its one dominator besides ``near``.
     ``near`` itself is never redundant, because it now alone covers the
     vertices the removed member covered alone. So only those other
-    dominators of count-2 vertices in N[near] are scanned, newest first.
-    Every member left out is not redundant now, and removals only lower
-    counts, so it would not have been removed later in the pass: the
-    result equals the full pass's.
+    dominators of count-2 vertices in N[near] are scanned, in the full
+    pass's order: by position in ``members``, last first. Every member
+    left out is not redundant now, and removals only lower counts, so it
+    would not have been removed later in the pass: the result equals the
+    full pass's.
     """
     in_set = cover.in_set
     counts = cover.counts
@@ -45,9 +47,10 @@ def backward_prune(cover: Cover, near: int | None = None) -> None:
                 if y != near and in_set[y]:
                     cand.add(y)
                     break
+        order = sorted(cand, key=cover.pos.__getitem__, reverse=True)
     else:
-        cand = cover.members
-    for v in sorted(cand, key=cover.stamp.__getitem__, reverse=True):
+        order = cover.members[::-1]
+    for v in order:
         if counts[v] < 2:
             continue
         redundant = True

@@ -4,7 +4,6 @@ the set under construction and how often each vertex is dominated, and the
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 import time
@@ -26,53 +25,52 @@ class Cover:
     from a member list, :meth:`add` and :meth:`drop` change it one vertex at
     a time, and no other code changes a Cover or its lists. What a run hands
     back is :attr:`solution`, a snapshot that shares no list with the Cover.
-    ``members`` is a pick array: ``members[pos[v]] == v``, and a drop moves
-    the last member into the freed slot, so both moves are O(deg).
-    Insertion order, which the prune and the swap sweeps read, is kept
-    apart as a per-vertex stamp and read back by :meth:`in_order`. ``adj``
-    is the graph's own neighbour tuple list (``g.adj``, not a copy), held so
-    that a move reads ``N(v)`` with one attribute lookup.
+    ``members`` is a pick array: ``members[pos[v]] == v``, :meth:`add`
+    appends, and a drop moves the last member into the freed slot, so both
+    moves are O(deg). It is the Cover's one member order: until the first
+    drop it is insertion order, the order the backward prune reads.
+    ``adj`` is the graph's own neighbour tuple list (``g.adj``, not a
+    copy), held so that a move reads ``N(v)`` with one attribute lookup.
     """
 
-    __slots__ = ("g", "adj", "in_set", "members", "counts", "pos", "stamp", "clock")
+    __slots__ = ("g", "adj", "in_set", "members", "counts", "pos")
 
     def __init__(self, g: Graph, members: Iterable[int] = ()) -> None:
         self.g = g
         self.adj = g.adj
-        self.in_set, self.members, self.counts, self.pos, self.stamp = [], [], [], [], []  # sized by load
+        self.in_set, self.members, self.counts, self.pos = [], [], [], []  # sized by load
         self.load(members)
 
     def load(self, members: Iterable[int]) -> None:
         """Make ``members`` (distinct vertex IDs) the set, counted from
-        scratch, with their order as both pick order and insertion order.
-        Raises ValueError, with the Cover unchanged, for an ID outside
-        0..n-1."""
+        scratch, with their order as pick order. Raises ValueError, with the
+        Cover unchanged, for an ID outside 0..n-1 or one given twice."""
         order = list(members)
         n = self.g.n
+        flags = [False] * n
         for v in order:
             if not 0 <= v < n:
                 raise ValueError(f"member {v} out of range 0..{n - 1}")
-        in_set, counts, pos, stamp, adj = self.in_set, self.counts, self.pos, self.stamp, self.adj
+            if flags[v]:
+                raise ValueError(f"duplicate member {v}")
+            flags[v] = True
+        counts, pos, adj = self.counts, self.pos, self.adj
         self.members[:] = order
-        in_set[:] = [False] * n
-        counts[:] = pos[:] = stamp[:] = [0] * n
+        self.in_set[:] = flags
+        counts[:] = pos[:] = [0] * n
         for i, v in enumerate(order):
-            in_set[v] = True
             pos[v] = i
-            stamp[v] = i
             counts[v] += 1
             for x in adj[v]:
                 counts[x] += 1
-        self.clock = itertools.count(len(order))
 
     def add(self, v: int) -> None:
-        """Make non-member ``v`` the newest member and count its closed
+        """Append non-member ``v`` to the members and count its closed
         neighborhood once more."""
         self.in_set[v] = True
         members = self.members
         self.pos[v] = len(members)
         members.append(v)
-        self.stamp[v] = next(self.clock)
         counts = self.counts
         counts[v] += 1
         for x in self.adj[v]:
@@ -94,10 +92,6 @@ class Cover:
         for x in self.adj[v]:
             counts[x] -= 1
 
-    def in_order(self) -> list[int]:
-        """The members in insertion order, oldest first."""
-        return sorted(self.members, key=self.stamp.__getitem__)
-
     @property
     def solution(self) -> Solution:
         """A new :class:`Solution` of the members in pick order, which
@@ -107,13 +101,12 @@ class Cover:
 
 def compute_cover_counts(g: Graph, sol: Solution | None = None) -> Cover:
     """A new Cover of ``sol``'s members (the empty set by default), counted
-    from scratch, with their order as insertion order; ``sol`` itself is
-    left untouched."""
+    from scratch, in their order; ``sol`` itself is left untouched."""
     return Cover(g, sol.members if sol is not None else ())
 
 
 # Greedy and the swap phase poll their budget once per this many units of
-# work (bucket visits, degree-weighted candidate checks), which keeps clock
+# work (bucket visits, degree-weighted candidate checks), which keeps timer
 # and stop-event reads negligible relative to the work they bound.
 POLL_BATCH = 64
 

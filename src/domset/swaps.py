@@ -85,16 +85,15 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
     ``cover`` must hold a prune-minimal dominating set, as the pipeline's
     is after its full :func:`backward_prune`: no member is redundant. An
     exchange raises counts only on N[t] of the vertex t it adds, so a prune
-    of the members near t, newest first, harvests exactly the follow-on
-    removals the full pass would, and the set stays prune-minimal. So no
-    attempted member is ever redundant, which is why :func:`try_one_swap`
-    only exchanges. A budget that has already expired changes nothing. The
-    set size never increases. Each sweep takes the members in insertion order
-    (:meth:`Cover.in_order`) and shuffles them with ``rng``, which keeps the
-    equal-size exchanges walking new plateaus instead of oscillating; a
-    seeded rng makes the phase reproducible. A sweep that applies nothing
-    visited every member against an unchanged state, so it proves a
-    fixpoint for any order and ends the phase early.
+    of the members near t harvests exactly the follow-on removals the full
+    pass would, and the set stays prune-minimal. So no attempted member is
+    ever redundant, which is why :func:`try_one_swap` only exchanges. A
+    budget that has already expired changes nothing. The set size never
+    increases. Each sweep shuffles a copy of ``cover.members`` with
+    ``rng``, which keeps the equal-size exchanges walking new plateaus
+    instead of oscillating; a seeded rng makes the phase reproducible. A
+    sweep that applies nothing visited every member against an unchanged
+    state, so it proves a fixpoint for any order and ends the phase early.
     """
     if attempt_cap < 1:
         raise ValueError(f"attempt_cap must be strictly positive, got {attempt_cap}")
@@ -104,7 +103,7 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
     degree = cover.g.degree
     checks = 0
     for _ in range(attempt_cap):
-        order = cover.in_order()
+        order = list(cover.members)
         rng.shuffle(order)
         changed = False
         for w in order:

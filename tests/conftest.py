@@ -61,6 +61,23 @@ def unique_of(cover, v: int) -> list[int]:
     return out
 
 
+def greedy_two_packing(g: Graph) -> list[int]:
+    """A 2-packing taken greedily: vertices by ascending degree, ties by
+    ID, each kept when its closed neighborhood misses those of the ones
+    kept before, so the kept vertices are pairwise at distance >= 3. Every
+    dominating set needs a distinct member in each of their disjoint closed
+    neighborhoods, so its size is a lower bound on the domination number."""
+    taken = [False] * g.n
+    packing = []
+    for v in sorted(range(g.n), key=lambda v: (g.degree[v], v)):
+        near = closed_neighborhood(g, v)
+        if not any(taken[x] for x in near):
+            packing.append(v)
+            for x in near:
+                taken[x] = True
+    return packing
+
+
 def random_instance(rng: random.Random, kind: int) -> Graph:
     """A random graph of at most 300 vertices: gnp (kind 0), tree (1),
     star forest (2) or grid (3)."""

@@ -134,14 +134,16 @@ def test_sa_matches_reference_loop():
 
 def test_sa_leaves_the_cover_holding_the_best_set_in_insertion_order():
     # A drop moves the last member into the freed slot, so a run whose last
-    # change is the removal that sets the best ends with members == best
-    # but off insertion order: here [0, 1, 2, 7, 6], with 6 older than 7.
+    # change is the removal that sets the best ends with members == best in
+    # pick order, here [0, 1, 2, 7, 6] with 6 added before 7. The Cover
+    # loads that order back, which makes it the order the next add extends.
     g = Graph.from_edges(8, [(0, 2), (0, 6), (1, 5), (1, 6), (3, 7), (4, 5), (4, 7)])
     seed_solution = Solution.from_members(8, [0, 1, 2, 4, 6, 7])
     cfg = AnnealConfig(initial_temperature=0.1, moves_per_epoch=3, max_epochs=1)
     cover = compute_cover_counts(g, seed_solution)
     assert sa_solve(cover, cfg, seed=49).members == reference_sa(g, seed_solution, cfg, 49) == [0, 1, 2, 7, 6]
-    assert cover.in_order() == cover.members
+    assert cover.members == [0, 1, 2, 7, 6]
+    assert [cover.pos[v] for v in cover.members] == [0, 1, 2, 3, 4]
     rng = random.Random(8)
     for case in range(200):
         g = random_instance(rng, case % 4)
@@ -150,7 +152,7 @@ def test_sa_leaves_the_cover_holding_the_best_set_in_insertion_order():
         cover = compute_cover_counts(g, seed_solution)
         sa_solve(cover, cfg, seed=case)
         assert cover.members == reference_sa(g, seed_solution, cfg, case), case
-        assert cover.in_order() == cover.members, case
+        assert all(cover.members[cover.pos[v]] == v for v in cover.members), case
         assert cover.counts == compute_cover_counts(g, Solution.from_members(g.n, cover.members)).counts, case
 
 

@@ -83,4 +83,4 @@ def test_prune_preserves_surviving_order():
     cover = compute_cover_counts(g, sol)
     backward_prune(cover)
     order = [v for v in [4, 1, 3, 0] if cover.in_set[v]]
-    assert cover.in_order() == order
+    assert cover.members == order

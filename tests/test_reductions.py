@@ -73,23 +73,31 @@ def test_add_to_d_bookkeeping_matches_recomputation():
             assert dominated(state) == recompute_dominated(g, state)
             assert state.counts.count(0) == recompute_dominated(g, state).count(False)
             assert_member_counts(g, state)
+            # Until the first drop the pick array is insertion order, the
+            # order the backward prune reads.
+            assert state.members == inserted
         # Random drops and re-adds through Cover.drop / Cover.add must agree
         # with a from-scratch recount after every step, and keep the member
-        # list, its position index and its insertion order in step.
+        # list and its position index in step: an add appends, and a drop
+        # moves the last member into the freed slot.
+        picks = inserted
         for _ in range(rng.randint(0, 2 * g.n)):
             v = rng.randrange(g.n)
             if state.in_set[v]:
                 state.drop(v)
-                inserted.remove(v)
+                i = picks.index(v)
+                last = picks.pop()
+                if last != v:
+                    picks[i] = last
             else:
                 add_to_d(state, v)
-                inserted.append(v)
+                picks.append(v)
             assert state.counts == recompute_counts(g, state)
             assert state.counts == compute_cover_counts(g, state.solution).counts
             assert state.counts.count(0) == recompute_dominated(g, state).count(False)
             assert set(state.members) == {x for x in range(g.n) if state.in_set[x]}
             assert all(state.members[state.pos[x]] == x for x in state.members)
-            assert state.in_order() == inserted
+            assert state.members == picks
             assert_member_counts(g, state)
 
 
@@ -100,7 +108,7 @@ def test_cover_load_after_random_moves_equals_a_fresh_cover():
     for case in range(120):
         g = random_instance(rng, case % 4)
         cover = compute_cover_counts(g, random_partial_set(rng, g))
-        lists = (cover.members, cover.in_set, cover.counts, cover.pos, cover.stamp)
+        lists = (cover.members, cover.in_set, cover.counts, cover.pos)
         for _ in range(rng.randint(0, 3 * g.n)):
             v = rng.randrange(g.n)
             if cover.in_set[v]:
@@ -117,15 +125,15 @@ def test_cover_load_after_random_moves_equals_a_fresh_cover():
         assert cover.in_set == fresh.in_set
         assert cover.pos == fresh.pos
         assert cover.members == m
-        assert cover.in_order() == m
-        now = (cover.members, cover.in_set, cover.counts, cover.pos, cover.stamp)
+        assert all(m[cover.pos[v]] == v for v in m)
+        now = (cover.members, cover.in_set, cover.counts, cover.pos)
         assert all(a is b for a, b in zip(lists, now))
         assert cover.solution.members == m
-        # The next add is the newest member.
+        # The next add is appended: the loaded order is insertion order.
         if len(m) < g.n:
             v = rng.choice([x for x in range(g.n) if not cover.in_set[x]])
             cover.add(v)
-            assert cover.in_order() == m + [v]
+            assert cover.members == m + [v]
 
 
 def test_cover_solution_is_a_snapshot():
@@ -152,6 +160,19 @@ def test_cover_load_rejects_an_out_of_range_member_unchanged():
         with pytest.raises(ValueError, match="out of range"):
             cover.load(bad)
         assert (cover.members, cover.in_set, cover.counts) == before
+
+
+def test_cover_load_rejects_a_repeated_member_unchanged():
+    # Cover(g, [1, 1]) must not count vertex 1 twice and list it twice.
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="duplicate member 1"):
+        Cover(g, [1, 1])
+    cover = compute_cover_counts(g, Solution.from_members(3, [0, 2]))
+    before = (list(cover.members), list(cover.in_set), list(cover.counts), list(cover.pos))
+    for bad in ([1, 1], [0, 2, 0], [2, 1, 2]):
+        with pytest.raises(ValueError, match=f"duplicate member {bad[-1]}"):
+            cover.load(bad)
+        assert (cover.members, cover.in_set, cover.counts, cover.pos) == before
 
 
 def test_isolate_rule_all_isolates():

@@ -54,7 +54,7 @@ def test_try_one_swap_matches_unfiltered_scan():
             ref = compute_cover_counts(g, Solution.from_members(g.n, members))
             # Two passes over the members, so later attempts see states the
             # earlier moves made.
-            for w in cover.in_order() * 2:
+            for w in cover.members * 2:
                 if not cover.in_set[w]:
                     continue
                 unique = unique_of(cover, w)
@@ -259,7 +259,7 @@ def _reference_swap_phase(cover, attempt_cap: int, rng: random.Random) -> int:
     backward_prune(cover)
     later_removed = 0
     for _ in range(attempt_cap):
-        order = cover.in_order()
+        order = list(cover.members)
         rng.shuffle(order)
         changed = False
         for w in order:
