@@ -44,11 +44,11 @@ class Graph:
     """Immutable undirected graph as per-vertex neighbor tuples.
 
     ``adj[v]`` holds the neighbors of ``v`` in ascending order, with
-    self-loops dropped and duplicate edges collapsed, so ``len(adj[v]) ==
-    degree[v]``. Every stage scans ``adj[v]`` directly, which costs no
-    per-scan copy. The entries are interned: all 2m of them are drawn from
-    n shared int objects, one per vertex ID, which keeps a large graph near
-    8 bytes per entry. Tuples, not lists: the garbage collector stops
+    self-loops dropped and duplicate edges collapsed; the degree of ``v``
+    is ``len(adj[v])``. Every stage scans ``adj[v]`` directly, which costs
+    no per-scan copy. The entries are interned: all 2m of them are drawn
+    from n shared int objects, one per vertex ID, which keeps a large graph
+    near 8 bytes per entry. Tuples, not lists: the garbage collector stops
     tracking a tuple of ints after one pass, so its later passes during a
     run skip the whole adjacency. The structure is never mutated after
     construction, so it can be shared freely between concurrent solver
@@ -57,7 +57,6 @@ class Graph:
 
     n: int
     m: int
-    degree: list[int]
     adj: list[tuple[int, ...]]
 
     @classmethod
@@ -65,23 +64,21 @@ class Graph:
         """Build a graph from 0-indexed undirected edge pairs.
 
         Self-loops are ignored and duplicate edges (in either orientation)
-        are collapsed; ``m`` reflects the cleaned edge count. ``edges`` may
-        also be a ``(k, 2)`` integer array, as the bulk parser passes. The
-        neighbor IDs are interned (see :class:`Graph`), converted to Python
-        ints in chunks of 64k entries.
+        are collapsed; ``m`` reflects the cleaned edge count. ``edges`` is a
+        list of pairs or a ``(k, 2)`` integer array, as the bulk parser
+        passes. The neighbor IDs are interned (see :class:`Graph`), converted
+        to Python ints in chunks of 64k entries.
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        pairs = np.asarray(edges if isinstance(edges, (list, np.ndarray)) else list(edges), dtype=np.int64)
+        pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size == 0:
-            return cls(n=n, m=0, degree=[0] * n, adj=[()] * n)
+            return cls(n=n, m=0, adj=[()] * n)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
         if int(pairs.min()) < 0 or int(pairs.max()) >= n:
             raise ValueError(f"edge endpoint out of range 0..{n - 1}")
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        if pairs.shape[0] == 0:
-            return cls(n=n, m=0, degree=[0] * n, adj=[()] * n)
         # Encoding u*n+v for both orientations and sorting lays the
         # neighbors out in CSR order: grouped by head, ascending within a
         # group. Dropping each code equal to its predecessor removes
@@ -89,20 +86,20 @@ class Graph:
         enc = np.concatenate((pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]))
         enc.sort()
         fresh = np.empty(len(enc), dtype=bool)
-        fresh[0] = True
+        fresh[:1] = True
         np.not_equal(enc[1:], enc[:-1], out=fresh[1:])
         enc = enc[fresh]
-        degree = np.bincount(enc // n, minlength=n).tolist()
         # Gathering from an object array of the n IDs makes every entry one
         # of n shared ints instead of one of 2m fresh ones; chunks bound the
-        # gathered temporary. Each vertex takes the next degree[v] entries.
+        # gathered temporary. Each vertex takes the next row_len[v] entries.
+        row_len = np.bincount(enc // n, minlength=n).tolist()
         ids = np.arange(n).astype(object)
         col = enc % n
         flat = chain.from_iterable(
             ids[col[start : start + _NBR_CHUNK]].tolist() for start in range(0, len(col), _NBR_CHUNK)
         )
-        adj = [tuple(islice(flat, d)) for d in degree]
-        return cls(n=n, m=len(enc) // 2, degree=degree, adj=adj)
+        adj = [tuple(islice(flat, d)) for d in row_len]
+        return cls(n=n, m=len(enc) // 2, adj=adj)
 
 
 class Solution:

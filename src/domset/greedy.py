@@ -49,7 +49,7 @@ def lazy_greedy(cover: Cover, budget: Budget = UNBOUNDED) -> None:
         return
     g = cover.g
     adj = g.adj
-    gain = [d + 1 for d in g.degree]
+    gain = [len(a) + 1 for a in adj]
     for x in range(g.n):
         if counts[x]:
             gain[x] -= 1

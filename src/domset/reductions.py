@@ -25,9 +25,9 @@ def add_to_d(cover: Cover, v: int) -> None:
 def apply_isolate_rule(cover: Cover) -> int:
     """Force every degree-0 vertex into the solution; returns how many were added."""
     before = len(cover.members)
-    degree = cover.g.degree
+    adj = cover.g.adj
     for v in range(cover.g.n):
-        if degree[v] == 0:
+        if not adj[v]:
             add_to_d(cover, v)
     return len(cover.members) - before
 
@@ -41,10 +41,9 @@ def apply_leaf_rule(cover: Cover) -> int:
     """
     before = len(cover.members)
     g = cover.g
-    degree = g.degree
     counts = cover.counts
     adj = g.adj
     for u in range(g.n):
-        if degree[u] == 1 and not counts[u]:
+        if len(adj[u]) == 1 and not counts[u]:
             add_to_d(cover, adj[u][0])
     return len(cover.members) - before

@@ -100,7 +100,7 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
     if budget.expired():
         return
     in_set = cover.in_set
-    degree = cover.g.degree
+    adj = cover.adj
     checks = 0
     for _ in range(attempt_cap):
         order = list(cover.members)
@@ -109,7 +109,7 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
         for w in order:
             if not in_set[w]:
                 continue
-            checks += degree[w] + 1
+            checks += len(adj[w]) + 1
             if checks >= POLL_BATCH:
                 checks = 0
                 if budget.expired():

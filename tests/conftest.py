@@ -40,7 +40,7 @@ def adjacency_sets(g: Graph) -> list[set[int]]:
 
 
 def closed_neighborhood(g: Graph, v: int) -> list[int]:
-    """``v`` followed by its neighbors (``degree[v] + 1`` vertices)."""
+    """``v`` followed by its neighbors (``len(g.adj[v]) + 1`` vertices)."""
     return [v, *g.adj[v]]
 
 
@@ -69,7 +69,7 @@ def greedy_two_packing(g: Graph) -> list[int]:
     neighborhoods, so its size is a lower bound on the domination number."""
     taken = [False] * g.n
     packing = []
-    for v in sorted(range(g.n), key=lambda v: (g.degree[v], v)):
+    for v in sorted(range(g.n), key=lambda v: (len(g.adj[v]), v)):
         near = closed_neighborhood(g, v)
         if not any(taken[x] for x in near):
             packing.append(v)
@@ -138,7 +138,7 @@ def reference_heap_greedy(cover) -> None:
     n = g.n
     adj = g.adj
     counts = cover.counts
-    gain = [d + 1 for d in g.degree]
+    gain = [len(a) + 1 for a in adj]
     for x in range(n):
         if counts[x]:
             gain[x] -= 1

@@ -70,6 +70,31 @@ def test_unreadable_instance_becomes_failed_row(tmp_path):
     assert healthy.valid
 
 
+def test_a_failing_solver_gives_a_failed_row_and_no_wins(tmp_path, monkeypatch):
+    corpus = _make_corpus(tmp_path, count=1)
+    paths = sorted(corpus.glob("*.ds"))
+    g = parse_ds(paths[0].read_bytes())
+    real_solve = domset.bench.solve
+
+    def solve(graph, cfg):
+        if cfg.algorithm == "sa":
+            raise RuntimeError("solver failure")
+        return real_solve(graph, cfg)
+
+    monkeypatch.setattr(domset.bench, "solve", solve)
+    records = run_bench(paths, ["greedy", "sa", "hedom5"], _cfg(), jobs=1)
+    failed = next(r for r in records if r.algo == "sa")
+    assert not failed.valid
+    assert (failed.n, failed.m) == (g.n, g.m)
+    assert failed.size is None
+    assert f"inst0.ds,sa,7,{g.n},{g.m},,,,false," in render_csv(records).splitlines()
+    # No instance where an algorithm failed decides a win.
+    summaries = {s.algo: s for s in summarize(records)}
+    assert all(s.m == 0 for s in summaries.values())
+    assert (summaries["sa"].n, summaries["sa"].valid) == (0, False)
+    assert (summaries["greedy"].n, summaries["greedy"].valid) == (1, True)
+
+
 def test_summary_statistics(tmp_path):
     corpus = _make_corpus(tmp_path)
     paths = sorted(corpus.glob("*.ds"))

@@ -1,6 +1,7 @@
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from domset import Graph, ParseError, Solution, gnp, parse_ds, parse_solution, to_ds, write_solution
@@ -12,12 +13,12 @@ def test_parse_basic_path():
     g = parse_ds("p ds 3 2\n1 2\n2 3\n")
     assert g.n == 3
     assert g.m == 2
-    assert g.degree == [1, 2, 1]
+    assert list(map(len, g.adj)) == [1, 2, 1]
 
 
 def test_parse_drops_self_loops():
     g = parse_ds("p ds 2 2\n1 1\n1 2\n")
-    assert g.degree == [1, 1]
+    assert list(map(len, g.adj)) == [1, 1]
     assert g.m == 1
 
 
@@ -25,19 +26,19 @@ def test_parse_edgeless():
     g = parse_ds("p ds 4 0\n")
     assert g.n == 4
     assert g.m == 0
-    assert g.degree == [0, 0, 0, 0]
+    assert list(map(len, g.adj)) == [0, 0, 0, 0]
 
 
 def test_parse_collapses_duplicates():
     g = parse_ds("p ds 3 4\n1 2\n2 1\n1 2\n2 3\n")
     assert g.m == 2
-    assert g.degree == [1, 2, 1]
+    assert list(map(len, g.adj)) == [1, 2, 1]
 
 
 def test_parse_accepts_comments_and_blanks():
     text = "c header comment\n\np ds 3 2\nc between edges\n1 2\n\n2 3\nc trailing\n\n"
     g = parse_ds(text)
-    assert g.degree == [1, 2, 1]
+    assert list(map(len, g.adj)) == [1, 2, 1]
 
 
 def test_parse_accepts_bytes():
@@ -96,10 +97,8 @@ def test_csr_invariants_on_random_edge_lists():
         n = rng.randint(1, 40)
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
         g = Graph.from_edges(n, edges)
-        assert len(g.adj) == len(g.degree) == n
+        assert len(g.adj) == n
         assert sum(map(len, g.adj)) == 2 * g.m
-        assert all(len(g.adj[v]) == g.degree[v] for v in range(n))
-        assert sum(g.degree) == 2 * g.m
         adj = adjacency_sets(g)
         expected = [set() for _ in range(n)]
         for u, v in edges:
@@ -147,10 +146,29 @@ def test_from_edges_rejects_bad_endpoints():
         Graph.from_edges(3, [(-1, 0)])
 
 
+def test_from_edges_rejects_a_negative_count_and_non_pairs():
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph.from_edges(-1, [])
+    with pytest.raises(ValueError, match="edges must be \\(u, v\\) pairs"):
+        Graph.from_edges(3, np.zeros((2, 3), dtype=np.int64))
+
+
+def test_self_loops_only_give_an_edgeless_graph():
+    # Dropping the loops leaves no edge; from_edges takes its one general
+    # path, and the bulk parser hands it the loops as an array.
+    from domset.graph import _parse_ds_bulk
+
+    text = "p ds 3 2\n1 1\n2 2\n"
+    assert _parse_ds_bulk(text) is not None
+    for g in (Graph.from_edges(3, [(0, 0), (1, 1)]), parse_ds(text)):
+        assert (g.n, g.m) == (3, 0)
+        assert g.adj == [(), (), ()]
+
+
 def test_closed_neighborhood():
     star = star_graph(3)
     assert set(closed_neighborhood(star, 0)) == {0, 1, 2, 3}
-    assert len(closed_neighborhood(star, 0)) == star.degree[0] + 1
+    assert len(closed_neighborhood(star, 0)) == len(star.adj[0]) + 1
     isolates = Graph.from_edges(2, [])
     assert closed_neighborhood(isolates, 1) == [1]
     p3 = path_graph(3)
@@ -176,16 +194,24 @@ def test_parse_solution_roundtrip():
 
 
 def test_parse_solution_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_solution("2\n1\n", 5)  # fewer IDs than declared
-    with pytest.raises(ParseError):
+    assert err.value.line is None
+    with pytest.raises(ParseError) as err:
         parse_solution("1\n1\n2\n", 5)  # more IDs than declared
-    with pytest.raises(ParseError):
+    assert err.value.line == 3
+    with pytest.raises(ParseError) as err:
         parse_solution("1\n9\n", 5)  # out of range
-    with pytest.raises(ParseError):
+    assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
         parse_solution("2\n1\n1\n", 5)  # duplicate
-    with pytest.raises(ParseError):
+    assert err.value.line == 3
+    with pytest.raises(ParseError, match="expected a single integer, got 2 tokens") as err:
+        parse_solution("2\n1 2\n", 5)  # two IDs on one line
+    assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
         parse_solution("", 5)
+    assert err.value.line is None
 
 
 def test_solution_from_members_validates():

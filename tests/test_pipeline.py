@@ -54,6 +54,18 @@ def test_single_vertex_instance():
     assert sol.members == [0]
 
 
+def test_zero_vertex_instance():
+    # sa reaches sa_solve with an empty cover; its n == 0 return is what
+    # keeps the draw loop from spinning on getrandbits(0) forever.
+    g = Graph.from_edges(0, [])
+    for algo in ALGORITHMS:
+        sol = solve(g, _cfg(algorithm=algo))
+        assert (sol.n, sol.members) == (0, [])
+        assert verify(g, sol).valid
+    assert verify(g, Solution(0)).valid
+    assert brute_force_optimum(g) == (0, [])
+
+
 def test_all_algorithms_on_p6():
     g = path_graph(6)
     assert brute_force_optimum(g)[0] == 2

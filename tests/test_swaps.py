@@ -198,7 +198,7 @@ def test_swap_phase_polls_within_a_poll_batch_of_attempted_work(monkeypatch):
         backward_prune(cover)
         swap_phase(cover, attempt_cap=3, budget=budget, rng=random.Random(2))
         assert budget.polls[0] == 0 and len(budget.polls) > 3
-        weight = [g.degree[w] + 1 for w in attempts]
+        weight = [len(g.adj[w]) + 1 for w in attempts]
         ends = budget.polls[1:] + [len(attempts)]
         for start, end in zip(budget.polls, ends):
             assert sum(weight[start + 1 : end]) < POLL_BATCH, (start, end)
