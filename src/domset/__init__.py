@@ -7,12 +7,10 @@ from .annealing import AnnealConfig, decay, sa_solve
 from .bench import BenchRecord, render_csv, run_bench, summarize
 from .generators import generate_instance, gnp, grid, random_tree, star_forest, to_ds
 from .graph import Graph, ParseError, Solution, parse_ds, parse_solution, write_solution
-from .greedy import greedy_ln, lazy_greedy, true_gain
+from .greedy import add_to_d, apply_isolate_rule, apply_leaf_rule, greedy_ln, lazy_greedy, safety_patch, true_gain
 from .pipeline import ALGORITHMS, SolverConfig, StageTrace, solve
-from .pruning import backward_prune
-from .reductions import add_to_d, apply_isolate_rule, apply_leaf_rule
 from .state import Budget, Cover, compute_cover_counts
-from .swaps import safety_patch, swap_phase, try_one_swap
+from .swaps import backward_prune, swap_phase, try_one_swap
 from .verification import ORACLE_MAX_N, VerifyReport, brute_force_optimum, verify
 
 __version__ = "0.1.0"

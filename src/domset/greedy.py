@@ -1,16 +1,58 @@
-"""Gain-based greedy construction: the lazy variant used by the pipeline
-and the plain greedy-ln baseline. The lazy variant keeps every gain exact
-and orders the vertices by a monotone bucket queue, one list per gain
-level; :func:`true_gain` recounts one gain from the cover counts.
+"""Construction: the isolate and leaf reductions, lazy greedy, the
+greedy-ln baseline and the safety patch that completes a set.
+
+Lazy greedy keeps every gain exact and orders the vertices by a monotone
+bucket queue, one list per gain level; :func:`true_gain` recounts one gain
+from the cover counts. Greedy grows the set only through :func:`add_to_d`.
+The reductions call :meth:`Cover.add` behind their own "undominated"
+tests instead, so that a count of ``add_to_d`` calls (perfbench's
+``greedy.accepts``) is greedy's picks alone.
 """
 
 from __future__ import annotations
 
 from .graph import Graph, Solution
-from .reductions import add_to_d
 from .state import POLL_BATCH, UNBOUNDED, Budget, Cover, compute_cover_counts
 
-__all__ = ["true_gain", "lazy_greedy", "greedy_ln"]
+__all__ = ["add_to_d", "apply_isolate_rule", "apply_leaf_rule", "true_gain", "lazy_greedy", "greedy_ln", "safety_patch"]
+
+
+def add_to_d(cover: Cover, v: int) -> None:
+    """Add ``v`` to the solution and count its closed neighborhood as dominated.
+
+    Idempotent: a vertex already in the set is left alone.
+    """
+    if not cover.in_set[v]:
+        cover.add(v)
+
+
+def apply_isolate_rule(cover: Cover) -> int:
+    """Force every degree-0 vertex that is not yet dominated (so not yet a
+    member) into the solution; returns how many were added."""
+    before = len(cover.members)
+    adj = cover.adj
+    counts = cover.counts
+    for v in range(cover.g.n):
+        if not adj[v] and not counts[v]:
+            cover.add(v)
+    return len(cover.members) - before
+
+
+def apply_leaf_rule(cover: Cover) -> int:
+    """Force the unique neighbor of every still-undominated leaf.
+
+    Leaves are visited in ascending vertex ID; a leaf that a member, an
+    earlier forced one included, already dominates is skipped. An
+    undominated leaf's neighbor is not a member, since it would dominate
+    the leaf. Returns how many vertices were added.
+    """
+    before = len(cover.members)
+    counts = cover.counts
+    adj = cover.adj
+    for u in range(cover.g.n):
+        if len(adj[u]) == 1 and not counts[u]:
+            cover.add(adj[u][0])
+    return len(cover.members) - before
 
 
 def true_gain(cover: Cover, v: int) -> int:
@@ -87,9 +129,24 @@ def lazy_greedy(cover: Cover, budget: Budget = UNBOUNDED) -> None:
                 return
 
 
-def greedy_ln(g: Graph, budget: Budget = UNBOUNDED) -> Solution:
+def greedy_ln(g: Graph) -> Solution:
     """Plain greedy baseline: repeatedly take the vertex that newly dominates
     the most vertices. No reductions, no pruning; returns ``cover.solution``."""
     cover = compute_cover_counts(g)
-    lazy_greedy(cover, budget)
+    lazy_greedy(cover)
     return cover.solution
+
+
+def safety_patch(cover: Cover) -> int:
+    """Recount ``cover`` from its members; lazy greedy repairs any gaps.
+
+    The recount, :meth:`Cover.load` of its own members in pick order, never
+    trusts the counts a stage kept incrementally. Lazy greedy then adds,
+    while uncovered vertices remain, the vertex covering the most of them
+    (ties toward the smaller ID). Returns how many vertices were added; 0
+    on an already valid solution.
+    """
+    before = len(cover.members)
+    cover.load(cover.members)
+    lazy_greedy(cover)
+    return len(cover.members) - before

@@ -24,11 +24,9 @@ from .annealing import AnnealConfig, sa_solve
 from .graph import Graph, Solution
 # solve constructs with lazy_greedy alone; greedy_ln stays a name of this
 # module because the benchmark's tracer hooks domset.pipeline.greedy_ln.
-from .greedy import greedy_ln, lazy_greedy  # noqa: F401
-from .pruning import backward_prune
-from .reductions import apply_isolate_rule, apply_leaf_rule
+from .greedy import apply_isolate_rule, apply_leaf_rule, greedy_ln, lazy_greedy, safety_patch  # noqa: F401
 from .state import Budget, compute_cover_counts
-from .swaps import safety_patch, swap_phase
+from .swaps import backward_prune, swap_phase
 from .verification import verify
 
 __all__ = ["ALGORITHMS", "SolverConfig", "StageTrace", "solve"]

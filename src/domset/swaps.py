@@ -1,15 +1,71 @@
-"""1-swap local improvement under the run budget, and the final repair."""
+"""Local search: the backward prune, and the 1-swap phase that exchanges
+members for neighbours under the run budget and prunes after each."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .greedy import lazy_greedy
-from .pruning import backward_prune
 from .state import POLL_BATCH, Budget, Cover
 
-__all__ = ["SwapMove", "try_one_swap", "swap_phase", "safety_patch"]
+__all__ = ["SwapMove", "backward_prune", "try_one_swap", "swap_phase"]
+
+
+def backward_prune(cover: Cover, near: int | None = None) -> None:
+    """Single pass, last member first, removing every member whose closed
+    neighborhood is still covered at least twice.
+
+    Members are scanned from the end of the pick array ``cover.members``
+    back. Until the first drop that is reverse insertion order, as after
+    the pipeline's reductions and greedy. Counts are maintained live, so
+    members that only become redundant through removals later in the scan
+    are still caught. Only redundant members leave, so no count drops to
+    zero. The redundancy test is written inline, over the cover's lists as
+    locals: a call per member is measurably slower on this hot path.
+
+    With ``near`` set, it prunes after an exchange that added ``near``:
+    the caller guarantees that no member was redundant before the exchange
+    (the set was prune-minimal). An exchange raises counts only on
+    N[near]. A member v that is redundant now then had a private vertex x,
+    covered by v alone, whose count has gone up, so x lies in N[near] and
+    now has a count of exactly 2, with v as its one dominator besides
+    ``near``. ``near`` itself is never redundant, because it now alone
+    covers the vertices the removed member covered alone. So only those
+    other dominators of count-2 vertices in N[near] are scanned, in the
+    full pass's order: by position in ``members``, last first. Every
+    member left out is not redundant now, and removals only lower counts,
+    so it would not have been removed later in the pass: the result equals
+    the full pass's, and the set is prune-minimal again for the next
+    exchange.
+    """
+    in_set = cover.in_set
+    counts = cover.counts
+    adj = cover.adj
+    if near is not None:
+        cand = set()
+        for x in (near, *adj[near]):
+            if counts[x] != 2:
+                continue
+            if x != near and in_set[x]:
+                cand.add(x)
+                continue
+            for y in adj[x]:
+                if y != near and in_set[y]:
+                    cand.add(y)
+                    break
+        order = sorted(cand, key=cover.pos.__getitem__, reverse=True)
+    else:
+        order = cover.members[::-1]
+    for v in order:
+        if counts[v] < 2:
+            continue
+        redundant = True
+        for x in adj[v]:
+            if counts[x] < 2:
+                redundant = False
+                break
+        if redundant:
+            cover.drop(v)
 
 
 @dataclass(frozen=True)
@@ -83,12 +139,11 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
     ``attempt_cap`` sweeps or until ``budget`` expires.
 
     ``cover`` must hold a prune-minimal dominating set, as the pipeline's
-    is after its full :func:`backward_prune`: no member is redundant. An
-    exchange raises counts only on N[t] of the vertex t it adds, so a prune
-    of the members near t harvests exactly the follow-on removals the full
-    pass would, and the set stays prune-minimal. So no attempted member is
-    ever redundant, which is why :func:`try_one_swap` only exchanges. A
-    budget that has already expired changes nothing. The set size never
+    is after its full :func:`backward_prune`: no member is redundant. The
+    prune near each exchange's added vertex keeps it so (the argument is in
+    :func:`backward_prune`), which is why :func:`try_one_swap` only
+    exchanges. A budget
+    that has already expired changes nothing. The set size never
     increases. Each sweep shuffles a copy of ``cover.members`` with
     ``rng``, which keeps the equal-size exchanges walking new plateaus
     instead of oscillating; a seeded rng makes the phase reproducible. A
@@ -122,17 +177,3 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
         if not changed or budget.expired():
             return
 
-
-def safety_patch(cover: Cover) -> int:
-    """Recount ``cover`` from its members; lazy greedy repairs any gaps.
-
-    The recount, :meth:`Cover.load` of its own members in pick order, never
-    trusts the counts a stage kept incrementally. Lazy greedy then adds,
-    while uncovered vertices remain, the vertex covering the most of them
-    (ties toward the smaller ID). Returns how many vertices were added; 0
-    on an already valid solution.
-    """
-    before = len(cover.members)
-    cover.load(cover.members)
-    lazy_greedy(cover)
-    return len(cover.members) - before

@@ -1,7 +1,9 @@
+import importlib.util
 import random
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -449,3 +451,45 @@ def test_two_packing_bound_holds_below_hedom5(kind, params):
     sol = solve(g, SolverConfig(wallclock=False))
     assert verify(g, sol).valid
     assert len(greedy_two_packing(g)) <= len(sol)
+
+
+def _perfbench_tracer():
+    """perfbench's tracer module, loaded from its file; nothing under
+    perfbench/ is edited."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_tracer_counts_agree_with_the_stage_trace():
+    # The benchmark's per-layer counters wrap the stages by the
+    # module-global names the solver calls them through; each must read
+    # what the run's own stage trace says the stage did.
+    tracer = _perfbench_tracer()
+    g = generate_instance("gnp", 4242, n=1500, p=10 / 1499)[0]
+
+    def traced(cfg):
+        tr = tracer.Tracer()
+        trace = []
+        with tracer.installed(tr, count_calls=True) as missing:
+            solve(g, cfg, trace=trace)
+        assert missing == []
+        return tr.counts, {t.stage: t.size for t in trace}
+
+    counts, size = traced(_cfg(algorithm="hedom5", attempt_cap=4, seed=3))
+    assert counts["reductions.forced"] == size["reductions"] > 0
+    assert counts["greedy.accepts"] == size["greedy"] - size["reductions"]
+    assert counts["pruning.removed"] == size["greedy"] - size["prune"]
+    assert counts["swaps.prune_calls"] == counts["swaps.exchanges"] > 0
+    assert counts["swaps.prune_removed"] == size["prune"] - size["swap"]
+    assert counts["swaps.patch_added"] == size["patch"] - size["swap"] == 0
+    assert 1 <= counts["swaps.sweeps"] <= 4
+
+    counts, size = traced(
+        _cfg(algorithm="sa", seed=3, anneal=AnnealConfig(initial_temperature=0.2, max_epochs=7))
+    )
+    assert counts["greedy.accepts"] == size["greedy"]
+    assert counts["annealing.epochs"] == 7
+    assert counts["annealing.size_drop"] == size["greedy"] - size["anneal"]

@@ -281,3 +281,34 @@ def test_forced_vertices_never_hurt_the_optimum():
         checked += 1
         assert exhaustive_gamma(g, forced) == exhaustive_gamma(g)
     assert checked >= 10
+
+
+def test_reductions_on_a_cover_that_already_holds_members():
+    # Each rule adds only non-members: an isolate, or the one neighbour of
+    # a leaf that no member dominated before the call. Afterwards every
+    # isolate and leaf is dominated, and a second run of both rules finds
+    # nothing left to force.
+    rng = random.Random(2121)
+    for i in range(80):
+        g = random_instance(rng, i % 4)
+        cover = Cover(g, random_partial_set(rng, g).members)
+        for rule in (apply_isolate_rule, apply_leaf_rule):
+            members = list(cover.members)
+            in_set = list(cover.in_set)
+            counts = list(cover.counts)
+            added = rule(cover)
+            new = cover.members[len(members):]
+            assert cover.members[: len(members)] == members
+            assert added == len(new)
+            for v in new:
+                assert not in_set[v]
+                if rule is apply_isolate_rule:
+                    assert not g.adj[v]
+                else:
+                    assert any(g.adj[u] == (v,) and not counts[u] for u in g.adj[v])
+            assert Cover(g, cover.members).counts == cover.counts
+        assert all(cover.counts[u] for u in range(g.n) if len(g.adj[u]) <= 1)
+        members = list(cover.members)
+        assert apply_isolate_rule(cover) == 0
+        assert apply_leaf_rule(cover) == 0
+        assert cover.members == members
