@@ -5,8 +5,8 @@ exact small-instance oracle, instance generators, and a benchmark harness.
 
 from .annealing import AnnealConfig, decay, sa_solve
 from .bench import BenchRecord, render_csv, run_bench, summarize
-from .generators import generate_instance, gnp, grid, random_tree, star_forest, to_ds
-from .graph import Graph, ParseError, Solution, parse_ds, parse_solution, write_solution
+from .generators import generate_instance, gnp, grid, random_tree, star_forest
+from .graph import Graph, ParseError, Solution, parse_ds, parse_solution, to_ds, write_solution
 from .greedy import add_to_d, apply_isolate_rule, apply_leaf_rule, greedy_ln, lazy_greedy, safety_patch, true_gain
 from .pipeline import ALGORITHMS, SolverConfig, StageTrace, solve
 from .state import Budget, Cover, compute_cover_counts

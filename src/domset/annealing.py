@@ -6,6 +6,7 @@ every accepted state keeps full domination, and the best state seen is
 what comes back: :func:`sa_solve` anneals the run's one
 :class:`~domset.state.Cover` in place and leaves it holding the best set.
 
+Moves draw from the caller's rng, in a solve the run's one generator.
 Every random index is drawn inline as ``getrandbits(k.bit_length())``,
 redrawn while it is ``>= k``. That is the whole of ``Random.randrange(k)``
 for an int ``k > 0`` on CPython 3.10 to 3.13 (``_randbelow_with_getrandbits``),
@@ -74,16 +75,11 @@ def decay(temperature: float, cfg: AnnealConfig) -> float:
     return max(temperature * cfg.cooling_factor, TEMPERATURE_FLOOR)
 
 
-def sa_solve(
-    cover: Cover,
-    cfg: AnnealConfig,
-    seed: int = 0,
-    budget: Budget = UNBOUNDED,
-) -> Solution:
+def sa_solve(cover: Cover, cfg: AnnealConfig, rng: random.Random, budget: Budget = UNBOUNDED) -> Solution:
     """Anneal ``cover`` in place from its feasible set, leave it holding the
     smallest dominating set seen, and return that as ``cover.solution``.
 
-    ``seed`` seeds the move rng; the draws consume it exactly as
+    Every move draws from ``rng``, seeded by the caller, exactly as
     ``randrange`` would (see the module docstring); an exchange counts its
     candidates as ``len(adj[out]) + 1 - counts[out]``, with no list.
     ``budget`` is polled before each block of 256 moves, the first block
@@ -111,7 +107,6 @@ def sa_solve(
     bits = size.bit_length()
     best = list(cur)
     adj = cover.adj
-    rng = random.Random(seed)
     rand = rng.random
     getrandbits = rng.getrandbits
     n_bits = n.bit_length()

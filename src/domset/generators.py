@@ -1,7 +1,8 @@
-"""Seeded random instance generation and .ds serialization.
+"""Seeded random instance generation.
 
 All generators use a stdlib Random stream, so a (kind, params, seed)
-triple always yields the same graph, on any machine.
+triple always yields the same graph, on any machine. The .ds text that
+:func:`generate_instance` returns is written by :func:`domset.graph.to_ds`.
 """
 
 from __future__ import annotations
@@ -9,9 +10,9 @@ from __future__ import annotations
 import math
 import random
 
-from .graph import Graph
+from .graph import Graph, to_ds
 
-__all__ = ["KINDS", "gnp", "random_tree", "grid", "star_forest", "to_ds", "generate_instance"]
+__all__ = ["KINDS", "gnp", "random_tree", "grid", "star_forest", "generate_instance"]
 
 KINDS = ("gnp", "tree", "grid", "star-forest")
 
@@ -88,16 +89,6 @@ def star_forest(n: int, max_star: int, seed: int) -> Graph:
             edges.append((v, leaf))
         v += size
     return Graph.from_edges(n, edges)
-
-
-def to_ds(g: Graph) -> str:
-    """Serialize to the .ds format; reparsing yields an identical graph."""
-    lines = [f"p ds {g.n} {g.m}"]
-    for u in range(g.n):
-        for w in g.adj[u]:
-            if w > u:
-                lines.append(f"{u + 1} {w + 1}")
-    return "\n".join(lines) + "\n"
 
 
 def generate_instance(

@@ -1,4 +1,5 @@
-"""Graph storage plus parsing and serialization for the .ds format.
+"""Graph storage, the .ds format (:func:`parse_ds`, :func:`to_ds`), the
+solution format, and :func:`member_flags`, the one member-list check.
 
 :meth:`Graph.from_edges` builds the compressed sparse row layout in numpy
 and hands it out as one neighbor tuple per vertex; no other module sees
@@ -22,6 +23,7 @@ __all__ = [
     "ParseError",
     "parse_ds",
     "parse_solution",
+    "to_ds",
     "write_solution",
 ]
 
@@ -121,13 +123,7 @@ class Solution:
         """``members`` in their order; ValueError for one outside 0..n-1 or repeated."""
         sol = cls(n)
         sol.members = list(members)
-        seen = [False] * n
-        for v in sol.members:
-            if not 0 <= v < n:
-                raise ValueError(f"member {v} out of range 0..{n - 1}")
-            if seen[v]:
-                raise ValueError(f"duplicate member {v}")
-            seen[v] = True
+        member_flags(n, sol.members)
         return sol
 
     def __len__(self) -> int:
@@ -135,6 +131,19 @@ class Solution:
 
     def __repr__(self) -> str:
         return f"Solution(size={len(self.members)}, n={self.n})"
+
+
+def member_flags(n: int, members: list[int]) -> list[bool]:
+    """``flags[v]`` is True iff ``v`` is in ``members``; ValueError for a
+    member outside 0..n-1 or one given twice."""
+    flags = [False] * n
+    for v in members:
+        if not 0 <= v < n:
+            raise ValueError(f"member {v} out of range 0..{n - 1}")
+        if flags[v]:
+            raise ValueError(f"duplicate member {v}")
+        flags[v] = True
+    return flags
 
 
 MAX_VERTICES = 2**31 - 1
@@ -270,6 +279,19 @@ def _parse_ds_lines(data: bytes | str) -> Graph:
     if len(edges) < declared_m:
         raise ParseError(None, f"declared {declared_m} edges but found only {len(edges)}")
     return Graph.from_edges(n, edges)
+
+
+def to_ds(g: Graph) -> str:
+    """Serialize ``g`` (n >= 1) to the .ds format; reparsing yields an
+    identical graph. ValueError for n < 1, which no .ds header declares."""
+    if g.n < 1:
+        raise ValueError(f"vertex count must be at least 1, got {g.n}")
+    lines = [f"p ds {g.n} {g.m}"]
+    for u in range(g.n):
+        for w in g.adj[u]:
+            if w > u:
+                lines.append(f"{u + 1} {w + 1}")
+    return "\n".join(lines) + "\n"
 
 
 def write_solution(sol: Solution) -> str:

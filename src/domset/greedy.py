@@ -59,7 +59,7 @@ def true_gain(cover: Cover, v: int) -> int:
     """Number of currently undominated vertices in the closed neighborhood of ``v``."""
     counts = cover.counts
     gain = 0 if counts[v] else 1
-    for x in cover.g.adj[v]:
+    for x in cover.adj[v]:
         if not counts[x]:
             gain += 1
     return gain

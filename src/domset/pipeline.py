@@ -9,7 +9,8 @@ reloads that Cover, and one verify. :func:`solve` builds one
 :class:`~domset.state.Budget` per run: in wall-clock mode its deadline is
 the global time budget minus a 5% reserve for output, and the stop event
 ends it early. Greedy, swap and annealing poll it; once it has expired,
-the improvement stage is skipped.
+the improvement stage is skipped. Swap or annealing draws from the one
+rng that :func:`solve` seeds with ``cfg.seed`` per run.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class SolverConfig:
 
     ``wallclock=False`` drops the deadline, so only attempt counts (swap
     sweeps, annealing epochs) bound the run and runs are bit-reproducible.
-    ``seed`` seeds both the swap sweep order and the annealing moves.
+    ``seed`` seeds the run's one rng: the swap sweep order or the moves.
     """
 
     algorithm: str = "hedom5"
@@ -86,6 +87,7 @@ def solve(
     """
     start = time.perf_counter()
     budget = Budget(cfg.time_budget_ms * (1.0 - _OUTPUT_RESERVE) if cfg.wallclock else None, stop)
+    rng = random.Random(cfg.seed)
 
     def record(stage: str) -> None:
         if trace is not None:
@@ -103,10 +105,10 @@ def solve(
         if cfg.algorithm == "hedom5":
             backward_prune(cover)
             record("prune")
-            swap_phase(cover, cfg.attempt_cap, budget, random.Random(cfg.seed))
+            swap_phase(cover, cfg.attempt_cap, budget, rng)
             record("swap")
         elif cfg.algorithm == "sa":
-            sa_solve(cover, cfg.anneal, cfg.seed, budget)
+            sa_solve(cover, cfg.anneal, rng, budget)
             record("anneal")
 
     safety_patch(cover)

@@ -9,7 +9,7 @@ import threading
 import time
 from typing import Iterable
 
-from .graph import Graph, Solution
+from .graph import Graph, Solution, member_flags
 
 __all__ = ["Budget", "Cover", "compute_cover_counts"]
 
@@ -47,16 +47,9 @@ class Cover:
         Cover unchanged, for an ID outside 0..n-1 or one given twice."""
         order = list(members)
         n = self.g.n
-        flags = [False] * n
-        for v in order:
-            if not 0 <= v < n:
-                raise ValueError(f"member {v} out of range 0..{n - 1}")
-            if flags[v]:
-                raise ValueError(f"duplicate member {v}")
-            flags[v] = True
-        counts, pos, adj = self.counts, self.pos, self.adj
+        self.in_set[:] = member_flags(n, order)
         self.members[:] = order
-        self.in_set[:] = flags
+        counts, pos, adj = self.counts, self.pos, self.adj
         counts[:] = pos[:] = [0] * n
         for i, v in enumerate(order):
             pos[v] = i

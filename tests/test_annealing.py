@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -56,7 +55,7 @@ def test_config_validation():
 def test_sa_keeps_optimal_seed():
     g = star_graph(4)
     seed = Solution.from_members(5, [0])
-    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(max_epochs=30), seed=1)
+    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(max_epochs=30), random.Random(1))
     assert len(out) == 1
     assert verify(g, out).valid
 
@@ -64,7 +63,7 @@ def test_sa_keeps_optimal_seed():
 def test_sa_improves_oversized_seed():
     g = path_graph(4)
     seed = Solution.from_members(4, [0, 1, 2])
-    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(max_epochs=60), seed=3)
+    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(max_epochs=60), random.Random(3))
     assert len(out) == 2
     assert brute_force_optimum(g)[0] == 2
     assert verify(g, out).valid
@@ -73,19 +72,19 @@ def test_sa_improves_oversized_seed():
 def test_sa_zero_time_budget_returns_seed():
     g = path_graph(4)
     seed = Solution.from_members(4, [0, 1, 2])
-    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(), seed=3, budget=Budget(0))
+    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(), random.Random(3), budget=Budget(0))
     assert sorted(out.members) == [0, 1, 2]
 
 
 def test_sa_rejects_invalid_seed():
     g = path_graph(5)
     with pytest.raises(ValueError, match=r"not dominating \(vertex 2 uncovered\)"):
-        sa_solve(compute_cover_counts(g, Solution.from_members(5, [0])), AnnealConfig(max_epochs=1))
+        sa_solve(compute_cover_counts(g, Solution.from_members(5, [0])), AnnealConfig(max_epochs=1), random.Random(0))
     # A member of -1 would otherwise count vertex 4 as dominated.
     out_of_range = Solution.from_members(5, [1, 3])
     out_of_range.members.append(-1)
     with pytest.raises(ValueError, match="member -1 out of range"):
-        sa_solve(compute_cover_counts(g, out_of_range), AnnealConfig(max_epochs=1))
+        sa_solve(compute_cover_counts(g, out_of_range), AnnealConfig(max_epochs=1), random.Random(0))
 
 
 def test_sa_never_worse_than_seed_and_always_valid():
@@ -96,7 +95,9 @@ def test_sa_never_worse_than_seed_and_always_valid():
         # One move per epoch: the domination check sa_solve makes after
         # every epoch runs after every move.
         out = sa_solve(
-            compute_cover_counts(g, seed), AnnealConfig(moves_per_epoch=1, max_epochs=1000), seed=rng.randrange(100)
+            compute_cover_counts(g, seed),
+            AnnealConfig(moves_per_epoch=1, max_epochs=1000),
+            random.Random(rng.randrange(100)),
         )
         assert len(out) <= len(seed)
         assert verify(g, out).valid
@@ -106,8 +107,8 @@ def test_sa_reproducible_with_fixed_seed():
     g = gnp(30, 0.2, seed=12)
     seed = greedy_ln(g)
     cfg = AnnealConfig(max_epochs=25)
-    first = sa_solve(compute_cover_counts(g, seed), cfg, seed=42)
-    second = sa_solve(compute_cover_counts(g, seed), cfg, seed=42)
+    first = sa_solve(compute_cover_counts(g, seed), cfg, random.Random(42))
+    second = sa_solve(compute_cover_counts(g, seed), cfg, random.Random(42))
     assert first.members == second.members
 
 
@@ -128,7 +129,7 @@ def test_sa_matches_reference_loop():
             max_epochs=rng.randint(0, 15),
         )
         seed = rng.randrange(10**6)
-        out = sa_solve(compute_cover_counts(g, seed_solution), cfg, seed=seed)
+        out = sa_solve(compute_cover_counts(g, seed_solution), cfg, random.Random(seed))
         assert out.members == reference_sa(g, seed_solution, cfg, seed), (case, cfg)
 
 
@@ -141,7 +142,7 @@ def test_sa_leaves_the_cover_holding_the_best_set_in_insertion_order():
     seed_solution = Solution.from_members(8, [0, 1, 2, 4, 6, 7])
     cfg = AnnealConfig(initial_temperature=0.1, moves_per_epoch=3, max_epochs=1)
     cover = compute_cover_counts(g, seed_solution)
-    assert sa_solve(cover, cfg, seed=49).members == reference_sa(g, seed_solution, cfg, 49) == [0, 1, 2, 7, 6]
+    assert sa_solve(cover, cfg, random.Random(49)).members == reference_sa(g, seed_solution, cfg, 49) == [0, 1, 2, 7, 6]
     assert cover.members == [0, 1, 2, 7, 6]
     assert [cover.pos[v] for v in cover.members] == [0, 1, 2, 3, 4]
     rng = random.Random(8)
@@ -150,7 +151,7 @@ def test_sa_leaves_the_cover_holding_the_best_set_in_insertion_order():
         seed_solution = Solution.from_members(g.n, range(g.n))
         cfg = AnnealConfig(initial_temperature=0.1, moves_per_epoch=rng.randint(1, 5), max_epochs=rng.randint(0, 3))
         cover = compute_cover_counts(g, seed_solution)
-        sa_solve(cover, cfg, seed=case)
+        sa_solve(cover, cfg, random.Random(case))
         assert cover.members == reference_sa(g, seed_solution, cfg, case), case
         assert all(cover.members[cover.pos[v]] == v for v in cover.members), case
         assert cover.counts == compute_cover_counts(g, Solution.from_members(g.n, cover.members)).counts, case
@@ -200,7 +201,7 @@ class _PollRecordingBudget(Budget):
 
 
 @pytest.mark.parametrize("moves_per_epoch", [1, 255, 256, 257, 600])
-def test_sa_polls_its_budget_every_256_moves(monkeypatch, moves_per_epoch):
+def test_sa_polls_its_budget_every_256_moves(moves_per_epoch):
     # The budget is polled before each epoch's first move and then after
     # every 256 moves of the epoch, and a run that finds it expired makes
     # no further move.
@@ -212,13 +213,8 @@ def test_sa_polls_its_budget_every_256_moves(monkeypatch, moves_per_epoch):
     for trip in (None, 1, 2, len(expected)):
         budget = _PollRecordingBudget(trip)
         cover = compute_cover_counts(g, seed_solution)
-
-        def counting_random(seed):
-            budget.rng = _MoveCountingRandom(seed, cover.in_set)
-            return budget.rng
-
-        monkeypatch.setattr(domset.annealing, "random", SimpleNamespace(Random=counting_random))
-        out = sa_solve(cover, cfg, seed=9, budget=budget)
+        budget.rng = _MoveCountingRandom(9, cover.in_set)
+        out = sa_solve(cover, cfg, budget.rng, budget=budget)
         assert verify(g, out).valid
         if trip is None:
             assert budget.polls == expected

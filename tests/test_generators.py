@@ -1,8 +1,12 @@
+import random
 from collections import deque
 
 import pytest
 
-from domset import generate_instance, gnp, grid, parse_ds, random_tree, star_forest, to_ds
+from domset import Graph, ParseError, generate_instance, gnp, grid, parse_ds, random_tree, star_forest, to_ds
+from domset.graph import _parse_ds_bulk
+
+from conftest import random_instance
 
 
 def is_connected(g) -> bool:
@@ -86,6 +90,14 @@ def test_generated_instances_roundtrip_through_parser():
     ]
     for g, text in cases:
         assert parse_ds(text) == g
+    # Every kind at random sizes, down to one vertex; the bulk parser,
+    # which reads the benchmark's instances, must accept each text.
+    rng = random.Random(31)
+    for case in range(80):
+        g = random_instance(rng, case % 4)
+        text = to_ds(g)
+        assert parse_ds(text) == g, case
+        assert _parse_ds_bulk(text) == g, case
 
 
 def test_to_ds_lists_each_edge_once():
@@ -94,6 +106,15 @@ def test_to_ds_lists_each_edge_once():
     lines = text.strip().splitlines()
     assert lines[0] == f"p ds {g.n} {g.m}"
     assert len(lines) == 1 + g.m
+
+
+def test_to_ds_refuses_a_graph_with_no_vertices():
+    # The grammar's header declares at least one vertex, so "p ds 0 0"
+    # would not parse back.
+    with pytest.raises(ValueError, match="vertex count must be at least 1, got 0"):
+        to_ds(Graph.from_edges(0, []))
+    with pytest.raises(ParseError, match="vertex count must be at least 1, got 0"):
+        parse_ds("p ds 0 0\n")
 
 
 def test_generator_validation():

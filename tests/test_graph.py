@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from domset import Graph, ParseError, Solution, gnp, parse_ds, parse_solution, to_ds, write_solution
+from domset import Cover, Graph, ParseError, Solution, gnp, parse_ds, parse_solution, to_ds, write_solution
 
 from conftest import adjacency_sets, closed_neighborhood, path_graph, star_graph
 
@@ -219,6 +219,18 @@ def test_solution_from_members_validates():
         Solution.from_members(3, [0, 0])
     with pytest.raises(ValueError):
         Solution.from_members(3, [5])
+    # A Cover checks its member list the same way, with the same messages.
+    g = path_graph(3)
+    bad = {
+        "member -1 out of range 0..2": [-1],
+        "member 3 out of range 0..2": [0, 3],
+        "duplicate member 1": [1, 0, 1],
+    }
+    for message, members in bad.items():
+        for build in (lambda: Solution.from_members(3, members), lambda: Cover(g, members)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
 
 
 def test_solution_from_members_keeps_order_and_rejects_bad_ids():

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -291,6 +292,32 @@ def test_solve_builds_one_cover_per_run(monkeypatch, algo, stopped):
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
+def test_a_run_draws_from_one_rng(monkeypatch, algo):
+    # solve builds the run's one generator from cfg.seed; the swap sweeps
+    # and the annealing moves draw from it, and greedy never does.
+    built = []
+
+    class RecordingRandom(random.Random):
+        def __init__(self, seed):
+            built.append((seed, self))
+            self.draws = 0
+            super().__init__(seed)
+
+        def getrandbits(self, k):
+            self.draws += 1
+            return super().getrandbits(k)
+
+    g = generate_instance("gnp", 5, n=300, p=0.03)[0]
+    cfg = _cfg(algorithm=algo, seed=11, anneal=AnnealConfig(max_epochs=5))
+    plain = solve(g, cfg)
+    monkeypatch.setattr(domset.pipeline, "random", SimpleNamespace(Random=RecordingRandom))
+    sol = solve(g, cfg)
+    assert [seed for seed, _ in built] == [11]
+    assert (built[0][1].draws > 0) == (algo != "greedy")
+    assert sol.members == plain.members
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
 def test_a_cover_leaves_the_solution_it_was_built_from_untouched(algo):
     # The Cover copies the members it is handed: no stage of any algorithm
     # writes through to the caller's Solution.
@@ -307,7 +334,7 @@ def test_a_cover_leaves_the_solution_it_was_built_from_untouched(algo):
             lambda c: swap_phase(c, 3, Budget(), random.Random(1)),
         ],
         "greedy": [lazy_greedy],
-        "sa": [lazy_greedy, lambda c: sa_solve(c, AnnealConfig(initial_temperature=0.1, max_epochs=5), seed=1)],
+        "sa": [lazy_greedy, lambda c: sa_solve(c, AnnealConfig(initial_temperature=0.1, max_epochs=5), random.Random(1))],
     }[algo] + [safety_patch]
     for stage in stages:
         stage(cover)
@@ -331,7 +358,7 @@ def test_no_solution_shares_a_list_with_a_live_cover(monkeypatch):
     sols = [greedy_ln(g)]
     cover = compute_cover_counts(g, sols[0])
     sols.append(cover.solution)
-    sols.append(sa_solve(cover, AnnealConfig(initial_temperature=0.1, max_epochs=5), seed=2))
+    sols.append(sa_solve(cover, AnnealConfig(initial_temperature=0.1, max_epochs=5), random.Random(2)))
     sols.extend(solve(g, _cfg(algorithm=algo)) for algo in ALGORITHMS)
     assert len(built) == 5
     cover_lists = {id(lst) for c in built for lst in (c.members, c.in_set, c.counts, c.pos)}
