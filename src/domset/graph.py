@@ -107,24 +107,19 @@ class Graph:
 class Solution:
     """A dominating set as a run hands it back: ``n`` and the member list.
 
-    A Solution is an answer, not the set under construction: the run's
+    ``Solution(n, members)`` copies ``members`` in their order and checks
+    them with :func:`member_flags`; ``Solution(n)`` is the empty set. A
+    Solution is an answer, not the set under construction: the run's
     :class:`~domset.state.Cover` owns that set, and ``cover.solution`` is a
     snapshot of it that shares no list with the Cover.
     """
 
     __slots__ = ("n", "members")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, members: Iterable[int] = ()) -> None:
         self.n = n
-        self.members: list[int] = []
-
-    @classmethod
-    def from_members(cls, n: int, members: Iterable[int]) -> "Solution":
-        """``members`` in their order; ValueError for one outside 0..n-1 or repeated."""
-        sol = cls(n)
-        sol.members = list(members)
-        member_flags(n, sol.members)
-        return sol
+        self.members = list(members)
+        member_flags(n, self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -330,4 +325,4 @@ def parse_solution(data: bytes | str, n: int) -> Solution:
         raise ParseError(None, "missing solution size line")
     if len(members) < size:
         raise ParseError(None, f"declared size {size} but found only {len(members)} vertices")
-    return Solution.from_members(n, members)
+    return Solution(n, members)

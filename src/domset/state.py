@@ -87,15 +87,15 @@ class Cover:
 
     @property
     def solution(self) -> Solution:
-        """A new :class:`Solution` of the members in pick order, which
-        later moves on the Cover leave unchanged."""
-        return Solution.from_members(self.g.n, self.members)
+        """The members in pick order, copied into a new :class:`Solution`
+        that later moves on the Cover leave unchanged."""
+        return Solution(self.g.n, self.members)
 
 
-def compute_cover_counts(g: Graph, sol: Solution | None = None) -> Cover:
-    """A new Cover of ``sol``'s members (the empty set by default), counted
-    from scratch, in their order; ``sol`` itself is left untouched."""
-    return Cover(g, sol.members if sol is not None else ())
+def compute_cover_counts(g: Graph) -> Cover:
+    """The run's empty Cover of ``g``, from which greedy builds the set;
+    ``Cover(g, members)`` builds one from any member list."""
+    return Cover(g)
 
 
 # Greedy and the swap phase poll their budget once per this many units of

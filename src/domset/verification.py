@@ -20,7 +20,7 @@ class VerifyReport:
 
 def verify(g: Graph, sol: Solution) -> VerifyReport:
     """Check that every vertex is dominated; reports the smallest uncovered
-    vertex (0-indexed) otherwise. Raises ValueError on out-of-range members."""
+    vertex (0-indexed, one flag scan) otherwise. ValueError on out-of-range members."""
     n = g.n
     dominated = [False] * n
     adj = g.adj
@@ -30,7 +30,7 @@ def verify(g: Graph, sol: Solution) -> VerifyReport:
         dominated[d] = True
         for x in adj[d]:
             dominated[x] = True
-    first = next((v for v in range(n) if not dominated[v]), None)
+    first = dominated.index(False) if False in dominated else None
     return VerifyReport(valid=first is None, first_uncovered=first, size=len(sol.members))
 
 

@@ -9,7 +9,7 @@ import random
 from pathlib import Path
 
 import domset
-from domset import AnnealConfig, Graph, Solution, add_to_d, compute_cover_counts, decay, generate_instance, gnp, true_gain
+from domset import AnnealConfig, Cover, Graph, Solution, add_to_d, compute_cover_counts, decay, generate_instance, gnp, true_gain
 from domset.swaps import SwapMove
 
 # Child processes (``python -m domset``) import the package the tests import,
@@ -78,6 +78,45 @@ def greedy_two_packing(g: Graph) -> list[int]:
     return packing
 
 
+def forest_domination_number(g: Graph) -> int:
+    """The domination number of a forest, by the linear-time tree DP of
+    Cockayne, Goodman and Hedetniemi (1975), over an iterative post-order of
+    each tree. Three states per vertex, each the fewest members in its
+    subtree: ``inside`` has the vertex in the set; ``covered`` leaves it out
+    but dominated by a child; ``open`` leaves it and its children out, for
+    its parent to dominate. Every other vertex of the subtree is dominated.
+    ValueError for a graph with a cycle.
+    """
+    inf = g.n + 1
+    inside, covered, open_ = [1] * g.n, [0] * g.n, [0] * g.n
+    seen, parent = [False] * g.n, [-1] * g.n
+    gamma = trees = 0
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        trees += 1
+        order = [root]
+        for v in order:  # breadth-first; reversed, children precede parents
+            for x in g.adj[v]:
+                if not seen[x]:
+                    seen[x] = True
+                    parent[x] = v
+                    order.append(x)
+        for v in reversed(order):
+            children = [x for x in g.adj[v] if x != parent[v]]
+            best = [min(inside[c], covered[c]) for c in children]
+            inside[v] = 1 + sum(min(inside[c], covered[c], open_[c]) for c in children)
+            open_[v] = min(inf, sum(covered[c] for c in children))
+            # At least one child must be inside: the cheapest one to force.
+            force = min((inside[c] - b for c, b in zip(children, best)), default=inf)
+            covered[v] = min(inf, sum(best) + force)
+        gamma += min(inside[root], covered[root])
+    if g.m != g.n - trees:
+        raise ValueError("not a forest")
+    return gamma
+
+
 def random_instance(rng: random.Random, kind: int) -> Graph:
     """A random graph of at most 300 vertices: gnp (kind 0), tree (1),
     star forest (2) or grid (3)."""
@@ -94,7 +133,7 @@ def random_instance(rng: random.Random, kind: int) -> Graph:
 
 def random_partial_set(rng: random.Random, g: Graph) -> Solution:
     """Each vertex joins with one rate drawn per vertex from 0, 5% and 20%."""
-    return Solution.from_members(g.n, [v for v in range(g.n) if rng.random() < rng.choice((0.0, 0.05, 0.2))])
+    return Solution(g.n, [v for v in range(g.n) if rng.random() < rng.choice((0.0, 0.05, 0.2))])
 
 
 def eager_continuation(g: Graph, sol: Solution) -> list[int]:
@@ -198,7 +237,7 @@ def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int
     ``is_redundant`` and ``unique_of`` plus a set: removal,
     exchange and addition proposals in the mix 0.4 : 0.4 : 0.2. Returns the
     best members in the order ``sa_solve`` must give them."""
-    cover = compute_cover_counts(g, seed_solution)
+    cover = Cover(g, seed_solution.members)
     cur = cover.members
     in_set = cover.in_set
     best = list(cur)

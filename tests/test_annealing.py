@@ -6,10 +6,10 @@ import domset.annealing
 from domset import (
     AnnealConfig,
     Budget,
+    Cover,
     Graph,
     Solution,
     brute_force_optimum,
-    compute_cover_counts,
     decay,
     gnp,
     greedy_ln,
@@ -54,16 +54,16 @@ def test_config_validation():
 
 def test_sa_keeps_optimal_seed():
     g = star_graph(4)
-    seed = Solution.from_members(5, [0])
-    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(max_epochs=30), random.Random(1))
+    seed = Solution(5, [0])
+    out = sa_solve(Cover(g, seed.members), AnnealConfig(max_epochs=30), random.Random(1))
     assert len(out) == 1
     assert verify(g, out).valid
 
 
 def test_sa_improves_oversized_seed():
     g = path_graph(4)
-    seed = Solution.from_members(4, [0, 1, 2])
-    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(max_epochs=60), random.Random(3))
+    seed = Solution(4, [0, 1, 2])
+    out = sa_solve(Cover(g, seed.members), AnnealConfig(max_epochs=60), random.Random(3))
     assert len(out) == 2
     assert brute_force_optimum(g)[0] == 2
     assert verify(g, out).valid
@@ -71,20 +71,20 @@ def test_sa_improves_oversized_seed():
 
 def test_sa_zero_time_budget_returns_seed():
     g = path_graph(4)
-    seed = Solution.from_members(4, [0, 1, 2])
-    out = sa_solve(compute_cover_counts(g, seed), AnnealConfig(), random.Random(3), budget=Budget(0))
+    seed = Solution(4, [0, 1, 2])
+    out = sa_solve(Cover(g, seed.members), AnnealConfig(), random.Random(3), budget=Budget(0))
     assert sorted(out.members) == [0, 1, 2]
 
 
 def test_sa_rejects_invalid_seed():
     g = path_graph(5)
     with pytest.raises(ValueError, match=r"not dominating \(vertex 2 uncovered\)"):
-        sa_solve(compute_cover_counts(g, Solution.from_members(5, [0])), AnnealConfig(max_epochs=1), random.Random(0))
+        sa_solve(Cover(g, [0]), AnnealConfig(max_epochs=1), random.Random(0))
     # A member of -1 would otherwise count vertex 4 as dominated.
-    out_of_range = Solution.from_members(5, [1, 3])
+    out_of_range = Solution(5, [1, 3])
     out_of_range.members.append(-1)
     with pytest.raises(ValueError, match="member -1 out of range"):
-        sa_solve(compute_cover_counts(g, out_of_range), AnnealConfig(max_epochs=1), random.Random(0))
+        sa_solve(Cover(g, out_of_range.members), AnnealConfig(max_epochs=1), random.Random(0))
 
 
 def test_sa_never_worse_than_seed_and_always_valid():
@@ -95,7 +95,7 @@ def test_sa_never_worse_than_seed_and_always_valid():
         # One move per epoch: the domination check sa_solve makes after
         # every epoch runs after every move.
         out = sa_solve(
-            compute_cover_counts(g, seed),
+            Cover(g, seed.members),
             AnnealConfig(moves_per_epoch=1, max_epochs=1000),
             random.Random(rng.randrange(100)),
         )
@@ -107,8 +107,8 @@ def test_sa_reproducible_with_fixed_seed():
     g = gnp(30, 0.2, seed=12)
     seed = greedy_ln(g)
     cfg = AnnealConfig(max_epochs=25)
-    first = sa_solve(compute_cover_counts(g, seed), cfg, random.Random(42))
-    second = sa_solve(compute_cover_counts(g, seed), cfg, random.Random(42))
+    first = sa_solve(Cover(g, seed.members), cfg, random.Random(42))
+    second = sa_solve(Cover(g, seed.members), cfg, random.Random(42))
     assert first.members == second.members
 
 
@@ -121,7 +121,7 @@ def test_sa_matches_reference_loop():
     rng = random.Random(2026)
     for case in range(160):
         g = random_instance(rng, case % 4)
-        seed_solution = greedy_ln(g) if rng.random() < 0.7 else Solution.from_members(g.n, range(g.n))
+        seed_solution = greedy_ln(g) if rng.random() < 0.7 else Solution(g.n, range(g.n))
         cfg = AnnealConfig(
             initial_temperature=rng.choice((1.0, 0.3, 0.1)),
             cooling_factor=rng.choice((0.995, 0.9, 0.5)),
@@ -129,7 +129,7 @@ def test_sa_matches_reference_loop():
             max_epochs=rng.randint(0, 15),
         )
         seed = rng.randrange(10**6)
-        out = sa_solve(compute_cover_counts(g, seed_solution), cfg, random.Random(seed))
+        out = sa_solve(Cover(g, seed_solution.members), cfg, random.Random(seed))
         assert out.members == reference_sa(g, seed_solution, cfg, seed), (case, cfg)
 
 
@@ -139,22 +139,22 @@ def test_sa_leaves_the_cover_holding_the_best_set_in_insertion_order():
     # pick order, here [0, 1, 2, 7, 6] with 6 added before 7. The Cover
     # loads that order back, which makes it the order the next add extends.
     g = Graph.from_edges(8, [(0, 2), (0, 6), (1, 5), (1, 6), (3, 7), (4, 5), (4, 7)])
-    seed_solution = Solution.from_members(8, [0, 1, 2, 4, 6, 7])
+    seed_solution = Solution(8, [0, 1, 2, 4, 6, 7])
     cfg = AnnealConfig(initial_temperature=0.1, moves_per_epoch=3, max_epochs=1)
-    cover = compute_cover_counts(g, seed_solution)
+    cover = Cover(g, seed_solution.members)
     assert sa_solve(cover, cfg, random.Random(49)).members == reference_sa(g, seed_solution, cfg, 49) == [0, 1, 2, 7, 6]
     assert cover.members == [0, 1, 2, 7, 6]
     assert [cover.pos[v] for v in cover.members] == [0, 1, 2, 3, 4]
     rng = random.Random(8)
     for case in range(200):
         g = random_instance(rng, case % 4)
-        seed_solution = Solution.from_members(g.n, range(g.n))
+        seed_solution = Solution(g.n, range(g.n))
         cfg = AnnealConfig(initial_temperature=0.1, moves_per_epoch=rng.randint(1, 5), max_epochs=rng.randint(0, 3))
-        cover = compute_cover_counts(g, seed_solution)
+        cover = Cover(g, seed_solution.members)
         sa_solve(cover, cfg, random.Random(case))
         assert cover.members == reference_sa(g, seed_solution, cfg, case), case
         assert all(cover.members[cover.pos[v]] == v for v in cover.members), case
-        assert cover.counts == compute_cover_counts(g, Solution.from_members(g.n, cover.members)).counts, case
+        assert cover.counts == Cover(g, cover.members).counts, case
 
 
 class _MoveCountingRandom(random.Random):
@@ -212,7 +212,7 @@ def test_sa_polls_its_budget_every_256_moves(moves_per_epoch):
     expected = [e * moves_per_epoch + b for e in range(epochs) for b in range(0, moves_per_epoch, 256)]
     for trip in (None, 1, 2, len(expected)):
         budget = _PollRecordingBudget(trip)
-        cover = compute_cover_counts(g, seed_solution)
+        cover = Cover(g, seed_solution.members)
         budget.rng = _MoveCountingRandom(9, cover.in_set)
         out = sa_solve(cover, cfg, budget.rng, budget=budget)
         assert verify(g, out).valid

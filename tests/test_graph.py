@@ -177,18 +177,18 @@ def test_closed_neighborhood():
 
 
 def test_write_solution_format():
-    assert write_solution(Solution.from_members(3, [0, 2])) == "2\n1\n3\n"
+    assert write_solution(Solution(3, [0, 2])) == "2\n1\n3\n"
     assert write_solution(Solution(3)) == "0\n"
-    assert write_solution(Solution.from_members(6, [4])) == "1\n5\n"
+    assert write_solution(Solution(6, [4])) == "1\n5\n"
 
 
 def test_write_solution_sorts_external_ids():
-    sol = Solution.from_members(5, [4, 0, 2])
+    sol = Solution(5, [4, 0, 2])
     assert write_solution(sol) == "3\n1\n3\n5\n"
 
 
 def test_parse_solution_roundtrip():
-    sol = Solution.from_members(7, [6, 1, 3])
+    sol = Solution(7, [6, 1, 3])
     parsed = parse_solution(write_solution(sol), 7)
     assert sorted(parsed.members) == [1, 3, 6]
 
@@ -214,11 +214,11 @@ def test_parse_solution_errors():
     assert err.value.line is None
 
 
-def test_solution_from_members_validates():
+def test_solution_constructor_validates():
     with pytest.raises(ValueError):
-        Solution.from_members(3, [0, 0])
+        Solution(3, [0, 0])
     with pytest.raises(ValueError):
-        Solution.from_members(3, [5])
+        Solution(3, [5])
     # A Cover checks its member list the same way, with the same messages.
     g = path_graph(3)
     bad = {
@@ -227,26 +227,26 @@ def test_solution_from_members_validates():
         "duplicate member 1": [1, 0, 1],
     }
     for message, members in bad.items():
-        for build in (lambda: Solution.from_members(3, members), lambda: Cover(g, members)):
+        for build in (lambda: Solution(3, members), lambda: Cover(g, members)):
             with pytest.raises(ValueError) as exc:
                 build()
             assert str(exc.value) == message
 
 
-def test_solution_from_members_keeps_order_and_rejects_bad_ids():
+def test_solution_constructor_keeps_order_and_rejects_bad_ids():
     members = [2, 0]
-    sol = Solution.from_members(4, members)
+    sol = Solution(4, members)
     assert sol.members == [2, 0]
     assert (sol.n, len(sol)) == (4, 2)
     members.append(1)  # the Solution holds its own list
     assert sol.members == [2, 0]
     with pytest.raises(ValueError, match="duplicate member 2"):
-        Solution.from_members(4, [2, 0, 2])
+        Solution(4, [2, 0, 2])
     # An ID out of range is rejected; a negative one must not index a flag
     # list from the end.
     for v in (-1, 4):
         with pytest.raises(ValueError, match="out of range 0..3"):
-            Solution.from_members(4, [2, 0, v])
+            Solution(4, [2, 0, v])
 
 
 def _fuzz_bases() -> list[bytes]:

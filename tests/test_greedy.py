@@ -8,6 +8,7 @@ import pytest
 import domset.greedy
 from domset import (
     Budget,
+    Cover,
     Graph,
     Solution,
     add_to_d,
@@ -131,7 +132,7 @@ def test_lazy_greedy_continues_any_partial_set_eagerly():
         reduced = compute_cover_counts(g)
         apply_isolate_rule(reduced)
         apply_leaf_rule(reduced)
-        for cover in (compute_cover_counts(g, random_partial_set(rng, g)), reduced):
+        for cover in (Cover(g, random_partial_set(rng, g).members), reduced):
             before = list(cover.members)
             expected = eager_continuation(g, cover.solution)
             lazy_greedy(cover)
@@ -169,12 +170,12 @@ def test_lazy_greedy_stops_exactly_when_every_vertex_is_dominated(monkeypatch):
     for i in range(40):
         g = random_instance(rng, i % 4)
         start = random_partial_set(rng, g)
-        full = compute_cover_counts(g, start)
+        full = Cover(g, start.members)
         lazy_greedy(full)
         assert 0 not in full.counts
         for k in range(1, g.n + 2):
             budget = _TripsAtPoll(k)
-            cover = compute_cover_counts(g, start)
+            cover = Cover(g, start.members)
             lazy_greedy(cover, budget)
             assert cover.members == full.members[: len(cover.members)], (i, k)
             if budget.polls < k:
@@ -244,8 +245,8 @@ def test_lazy_greedy_matches_heap_reference_at_scale():
         apply_leaf_rule(reduced)
         starts = [Solution(g.n), reduced.solution, random_partial_set(rng, g)]
         for start in starts:
-            cover = compute_cover_counts(g, start)
-            expected = compute_cover_counts(g, start)
+            cover = Cover(g, start.members)
+            expected = Cover(g, start.members)
             lazy_greedy(cover)
             reference_heap_greedy(expected)
             assert cover.members == expected.members
@@ -256,7 +257,7 @@ def test_lazy_greedy_matches_heap_reference_at_scale():
 def test_lazy_greedy_expired_budget_adds_nothing():
     g = gnp(500, 0.01, seed=8)
     for start in (Solution(g.n), random_partial_set(random.Random(8), g)):
-        cover = compute_cover_counts(g, start)
+        cover = Cover(g, start.members)
         counts = list(cover.counts)
         lazy_greedy(cover, Budget(0))
         assert cover.members == start.members
@@ -289,7 +290,7 @@ def test_lazy_greedy_stop_after_k_picks_ends_within_a_poll_batch(monkeypatch, k)
         # Every pick is a visit, so fewer than POLL_BATCH picks follow the stop.
         assert k <= len(cover.members) < k + POLL_BATCH
         assert cover.members == full.members[: len(cover.members)]
-        recount = compute_cover_counts(g, Solution.from_members(g.n, cover.members))
+        recount = Cover(g, cover.members)
         assert cover.counts == recount.counts
         assert cover.counts.count(0) == recount.counts.count(0) > 0
 

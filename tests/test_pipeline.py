@@ -14,6 +14,7 @@ from domset import (
     ALGORITHMS,
     AnnealConfig,
     Budget,
+    Cover,
     Graph,
     Solution,
     SolverConfig,
@@ -21,7 +22,6 @@ from domset import (
     apply_leaf_rule,
     backward_prune,
     brute_force_optimum,
-    compute_cover_counts,
     generate_instance,
     gnp,
     greedy_ln,
@@ -30,12 +30,13 @@ from domset import (
     sa_solve,
     safety_patch,
     solve,
+    star_forest,
     swap_phase,
     verify,
     write_solution,
 )
 
-from conftest import greedy_two_packing, path_graph, random_partial_set, star_graph
+from conftest import forest_domination_number, greedy_two_packing, path_graph, random_partial_set, star_graph
 
 
 def _cfg(**kwargs) -> SolverConfig:
@@ -324,7 +325,7 @@ def test_a_cover_leaves_the_solution_it_was_built_from_untouched(algo):
     g = generate_instance("gnp", 5, n=300, p=0.03)[0]
     sol = random_partial_set(random.Random(3), g)
     before = list(sol.members)
-    cover = compute_cover_counts(g, sol)
+    cover = Cover(g, sol.members)
     stages = {
         "hedom5": [
             apply_isolate_rule,
@@ -356,7 +357,7 @@ def test_no_solution_shares_a_list_with_a_live_cover(monkeypatch):
     monkeypatch.setattr(domset.state.Cover, "__init__", recording_init)
     g = generate_instance("grid", 5, rows=12, cols=15)[0]
     sols = [greedy_ln(g)]
-    cover = compute_cover_counts(g, sols[0])
+    cover = Cover(g, sols[0].members)
     sols.append(cover.solution)
     sols.append(sa_solve(cover, AnnealConfig(initial_temperature=0.1, max_epochs=5), random.Random(2)))
     sols.extend(solve(g, _cfg(algorithm=algo)) for algo in ALGORITHMS)
@@ -377,7 +378,7 @@ def _assert_cover_consistent(cover) -> None:
     assert len(set(members)) == len(members)
     assert all(members[cover.pos[v]] == v for v in members)
     assert [v for v in range(g.n) if cover.in_set[v]] == sorted(members)
-    assert cover.counts == compute_cover_counts(g, Solution.from_members(g.n, members)).counts
+    assert cover.counts == Cover(g, members).counts
     assert not hasattr(cover, "uncovered")  # no derived counter to drift
 
 
@@ -478,6 +479,25 @@ def test_two_packing_bound_holds_below_hedom5(kind, params):
     sol = solve(g, SolverConfig(wallclock=False))
     assert verify(g, sol).valid
     assert len(greedy_two_packing(g)) <= len(sol)
+
+
+
+# On forests the tree DP gives the domination number exactly, so hedom5's
+# quality is pinned without pinning which set it returns: attempt-counted
+# hedom5 at the default attempt cap reaches γ on every one of these.
+@pytest.mark.parametrize(
+    "forests",
+    [
+        pytest.param(lambda: [random_tree(2000, s) for s in range(100, 110)], id="trees-2k"),
+        pytest.param(lambda: [random_tree(20000, 100)], id="tree-20k"),
+        pytest.param(lambda: [star_forest(3000, 1 + s % 9, s) for s in range(100, 110)], id="star-forests-3k"),
+    ],
+)
+def test_hedom5_hits_the_domination_number_on_forests(forests):
+    for g in forests():
+        sol = solve(g, SolverConfig(wallclock=False))
+        assert verify(g, sol).valid
+        assert len(sol) == forest_domination_number(g)
 
 
 def _perfbench_tracer():

@@ -1,26 +1,26 @@
 import random
 
-from domset import Solution, backward_prune, compute_cover_counts, gnp, greedy_ln, verify
+from domset import Cover, Solution, backward_prune, gnp, greedy_ln, verify
 
 from conftest import complete_graph, path_graph, star_graph
 
 
 def test_cover_counts_triangle_full_set():
     g = complete_graph(3)
-    counts = compute_cover_counts(g, Solution.from_members(3, [0, 1, 2])).counts
+    counts = Cover(g, [0, 1, 2]).counts
     assert counts == [3, 3, 3]
 
 
 def test_cover_counts_star_center():
     g = star_graph(4)
-    counts = compute_cover_counts(g, Solution.from_members(5, [0])).counts
+    counts = Cover(g, [0]).counts
     assert counts == [1, 1, 1, 1, 1]
 
 
 def test_cover_counts_path():
     # P3 with D = {0, 1}: counts 2, 2, 1.
     g = path_graph(3)
-    counts = compute_cover_counts(g, Solution.from_members(3, [0, 1])).counts
+    counts = Cover(g, [0, 1]).counts
     assert counts == [2, 2, 1]
 
 
@@ -29,8 +29,8 @@ def test_backward_prune_path_example():
     # is covered once), then 2 goes (its whole closed neighborhood is doubly
     # covered), leaving {1}.
     g = path_graph(3)
-    sol = Solution.from_members(3, [2, 1])
-    cover = compute_cover_counts(g, sol)
+    sol = Solution(3, [2, 1])
+    cover = Cover(g, sol.members)
     backward_prune(cover)
     assert cover.members == [1]
     assert verify(g, cover.solution).valid
@@ -38,16 +38,16 @@ def test_backward_prune_path_example():
 
 def test_backward_prune_keeps_minimal_solution():
     g = star_graph(4)
-    sol = Solution.from_members(5, [0])
-    cover = compute_cover_counts(g, sol)
+    sol = Solution(5, [0])
+    cover = Cover(g, sol.members)
     backward_prune(cover)
     assert cover.members == [0]
 
 
 def test_backward_prune_triangle_full_set():
     g = complete_graph(3)
-    sol = Solution.from_members(3, [0, 1, 2])
-    cover = compute_cover_counts(g, sol)
+    sol = Solution(3, [0, 1, 2])
+    cover = Cover(g, sol.members)
     backward_prune(cover)
     assert len(cover.members) == 1
     assert verify(g, cover.solution).valid
@@ -62,25 +62,25 @@ def test_prune_properties_on_random_solutions():
         taken = set(members)
         extras = [v for v in range(g.n) if v not in taken]
         rng.shuffle(extras)
-        sol = Solution.from_members(g.n, members + extras[: g.n // 3])
+        sol = Solution(g.n, members + extras[: g.n // 3])
         before = len(sol)
-        cover = compute_cover_counts(g, sol)
+        cover = Cover(g, sol.members)
         backward_prune(cover)
         assert len(cover.members) <= before
         assert verify(g, cover.solution).valid
         # live counts match a fresh recomputation
-        assert cover.counts == compute_cover_counts(g, cover.solution).counts
+        assert cover.counts == Cover(g, cover.members).counts
         assert 0 not in cover.counts
         # a second pass over the pruned set removes nothing
-        again = compute_cover_counts(g, cover.solution)
+        again = Cover(g, cover.members)
         backward_prune(again)
         assert again.members == cover.members
 
 
 def test_prune_preserves_surviving_order():
     g = path_graph(6)
-    sol = Solution.from_members(6, [4, 1, 3, 0])
-    cover = compute_cover_counts(g, sol)
+    sol = Solution(6, [4, 1, 3, 0])
+    cover = Cover(g, sol.members)
     backward_prune(cover)
     order = [v for v in [4, 1, 3, 0] if cover.in_set[v]]
     assert cover.members == order

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from domset import Cover, Graph, Solution, add_to_d, apply_isolate_rule, apply_leaf_rule, compute_cover_counts, gnp, star_forest
+from domset import Cover, Graph, add_to_d, apply_isolate_rule, apply_leaf_rule, compute_cover_counts, gnp, star_forest
 
 from conftest import closed_neighborhood, cycle_graph, path_graph, random_instance, random_partial_set, star_graph
 
@@ -93,7 +93,7 @@ def test_add_to_d_bookkeeping_matches_recomputation():
                 add_to_d(state, v)
                 picks.append(v)
             assert state.counts == recompute_counts(g, state)
-            assert state.counts == compute_cover_counts(g, state.solution).counts
+            assert state.counts == Cover(g, state.members).counts
             assert state.counts.count(0) == recompute_dominated(g, state).count(False)
             assert set(state.members) == {x for x in range(g.n) if state.in_set[x]}
             assert all(state.members[state.pos[x]] == x for x in state.members)
@@ -107,7 +107,7 @@ def test_cover_load_after_random_moves_equals_a_fresh_cover():
     rng = random.Random(1717)
     for case in range(120):
         g = random_instance(rng, case % 4)
-        cover = compute_cover_counts(g, random_partial_set(rng, g))
+        cover = Cover(g, random_partial_set(rng, g).members)
         lists = (cover.members, cover.in_set, cover.counts, cover.pos)
         for _ in range(rng.randint(0, 3 * g.n)):
             v = rng.randrange(g.n)
@@ -120,7 +120,7 @@ def test_cover_load_after_random_moves_equals_a_fresh_cover():
         else:  # the current members, reordered
             m = rng.sample(cover.members, len(cover.members))
         cover.load(m)
-        fresh = compute_cover_counts(g, Solution.from_members(g.n, m))
+        fresh = Cover(g, m)
         assert cover.counts == fresh.counts, case
         assert cover.in_set == fresh.in_set
         assert cover.pos == fresh.pos
@@ -140,7 +140,7 @@ def test_cover_solution_is_a_snapshot():
     # cover.solution copies the members in pick order; later moves on the
     # Cover leave it as it was, and each read is a new Solution.
     g = path_graph(5)
-    cover = compute_cover_counts(g, Solution.from_members(5, [1, 3]))
+    cover = Cover(g, [1, 3])
     snap = cover.solution
     assert (snap.n, snap.members) == (5, [1, 3])
     assert snap.members is not cover.members
@@ -154,7 +154,7 @@ def test_cover_solution_is_a_snapshot():
 
 def test_cover_load_rejects_an_out_of_range_member_unchanged():
     g = path_graph(5)
-    cover = compute_cover_counts(g, Solution.from_members(5, [1, 3]))
+    cover = Cover(g, [1, 3])
     before = (list(cover.members), list(cover.in_set), list(cover.counts))
     for bad in ([0, -1], [5]):
         with pytest.raises(ValueError, match="out of range"):
@@ -167,7 +167,7 @@ def test_cover_load_rejects_a_repeated_member_unchanged():
     g = path_graph(3)
     with pytest.raises(ValueError, match="duplicate member 1"):
         Cover(g, [1, 1])
-    cover = compute_cover_counts(g, Solution.from_members(3, [0, 2]))
+    cover = Cover(g, [0, 2])
     before = (list(cover.members), list(cover.in_set), list(cover.counts), list(cover.pos))
     for bad in ([1, 1], [0, 2, 0], [2, 1, 2]):
         with pytest.raises(ValueError, match=f"duplicate member {bad[-1]}"):

@@ -4,10 +4,10 @@ import pytest
 
 from domset import (
     Budget,
+    Cover,
     Graph,
     Solution,
     backward_prune,
-    compute_cover_counts,
     gnp,
     greedy_ln,
     safety_patch,
@@ -37,7 +37,7 @@ def _start_sets(rng: random.Random, g: Graph) -> tuple[list[int], list[int]]:
     """A pruned greedy set, and the greedy set plus random extra members,
     which is redundant from the start."""
     start = list(greedy_ln(g).members)
-    pruned = compute_cover_counts(g, Solution.from_members(g.n, start))
+    pruned = Cover(g, start)
     backward_prune(pruned)
     taken = set(start)
     extra = start + [v for v in range(g.n) if v not in taken and rng.random() < 0.1]
@@ -50,8 +50,8 @@ def test_try_one_swap_matches_unfiltered_scan():
     for i in range(120):
         g = random_instance(rng, i % 4)
         for members in _start_sets(rng, g):
-            cover = compute_cover_counts(g, Solution.from_members(g.n, members))
-            ref = compute_cover_counts(g, Solution.from_members(g.n, members))
+            cover = Cover(g, members)
+            ref = Cover(g, members)
             # Two passes over the members, so later attempts see states the
             # earlier moves made.
             for w in cover.members * 2:
@@ -77,7 +77,7 @@ def test_try_one_swap_matches_unfiltered_scan():
 def test_swap_budget_validation():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
-        swap_phase(compute_cover_counts(g, Solution.from_members(4, [0, 2])), attempt_cap=0, budget=Budget(), rng=random.Random(0))
+        swap_phase(Cover(g, [0, 2]), attempt_cap=0, budget=Budget(), rng=random.Random(0))
     with pytest.raises(ValueError):
         Budget(-1.0)
     for ms in (float("nan"), float("inf")):
@@ -89,13 +89,13 @@ def test_swap_budget_validation():
 
 def test_uniquely_covered_sole_dominator():
     g = star_graph(3)
-    cover = compute_cover_counts(g, Solution.from_members(4, [0]))
+    cover = Cover(g, [0])
     assert sorted(unique_of(cover, 0)) == [0, 1, 2, 3]
 
 
 def test_uniquely_covered_fully_shadowed():
     g = path_graph(3)
-    cover = compute_cover_counts(g, Solution.from_members(3, [0, 1]))
+    cover = Cover(g, [0, 1])
     assert unique_of(cover, 0) == []
 
 
@@ -103,8 +103,8 @@ def test_try_one_swap_leaves_a_redundant_member_to_the_prune():
     # P4 with D = {0, 2, 3}: member 3 covers nothing alone. The swap step
     # only exchanges, so it leaves 3 in place; the prune removes it.
     g = path_graph(4)
-    sol = Solution.from_members(4, [0, 2, 3])
-    cover = compute_cover_counts(g, sol)
+    sol = Solution(4, [0, 2, 3])
+    cover = Cover(g, sol.members)
     before_counts = list(cover.counts)
     assert unique_of(cover, 3) == []
     assert try_one_swap(cover, 3) is None
@@ -113,13 +113,13 @@ def test_try_one_swap_leaves_a_redundant_member_to_the_prune():
     backward_prune(cover)
     assert cover.members == [0, 2]
     assert verify(g, cover.solution).valid
-    assert cover.counts == compute_cover_counts(g, cover.solution).counts
+    assert cover.counts == Cover(g, cover.members).counts
 
 
 def test_try_one_swap_no_candidate_leaves_state_alone():
     g = star_graph(3)
-    sol = Solution.from_members(4, [0])
-    cover = compute_cover_counts(g, sol)
+    sol = Solution(4, [0])
+    cover = Cover(g, sol.members)
     before_members = list(cover.members)
     before_counts = list(cover.counts)
     assert try_one_swap(cover, 0) is None
@@ -131,22 +131,22 @@ def test_try_one_swap_exchange_on_cycle():
     # C4 with D = {0, 2}: vertex 0 uniquely covers itself; neighbor 1 covers
     # {0, 1, 2} which includes it, so 0 is exchanged for 1.
     g = cycle_graph(4)
-    sol = Solution.from_members(4, [0, 2])
-    cover = compute_cover_counts(g, sol)
+    sol = Solution(4, [0, 2])
+    cover = Cover(g, sol.members)
     assert unique_of(cover, 0) == [0]
     move = try_one_swap(cover, 0)
     assert move == SwapMove(removed=0, added=1)
     assert sorted(cover.members) == [1, 2]
     assert len(cover.members) == 2
     assert verify(g, cover.solution).valid
-    assert cover.counts == compute_cover_counts(g, cover.solution).counts
+    assert cover.counts == Cover(g, cover.members).counts
 
 
 def test_swap_phase_expired_budget_changes_nothing():
     # Greedy's {0, 3, 5} plus a redundant 1: no sweep runs.
     g = cycle_graph(8)
-    sol = Solution.from_members(8, [*greedy_ln(g).members, 1])
-    cover = compute_cover_counts(g, sol)
+    sol = Solution(8, [*greedy_ln(g).members, 1])
+    cover = Cover(g, sol.members)
     before = list(cover.members)
     swap_phase(cover, attempt_cap=10, budget=Budget(1e-9), rng=random.Random(0))
     assert cover.members == before
@@ -154,8 +154,8 @@ def test_swap_phase_expired_budget_changes_nothing():
 
 def test_swap_phase_fixpoint_stops_early():
     g = star_graph(5)
-    sol = Solution.from_members(6, [0])
-    cover = compute_cover_counts(g, sol)
+    sol = Solution(6, [0])
+    cover = Cover(g, sol.members)
     swap_phase(cover, attempt_cap=50, budget=Budget(None), rng=random.Random(0))
     assert cover.members == [0]
 
@@ -194,7 +194,7 @@ def test_swap_phase_polls_within_a_poll_batch_of_attempted_work(monkeypatch):
     for g in graphs:
         attempts.clear()
         budget = _AttemptRecordingBudget(attempts)
-        cover = compute_cover_counts(g, greedy_ln(g))
+        cover = Cover(g, greedy_ln(g).members)
         backward_prune(cover)
         swap_phase(cover, attempt_cap=3, budget=budget, rng=random.Random(2))
         assert budget.polls[0] == 0 and len(budget.polls) > 3
@@ -211,7 +211,7 @@ def _assert_consistent(cover) -> None:
     """What swap_phase keeps from its prune-minimal start on, after every
     applied move and its prune: the counts and the undominated count equal a
     fresh recount, and no member is redundant."""
-    fresh = compute_cover_counts(cover.g, cover.solution)
+    fresh = Cover(cover.g, cover.members)
     assert cover.counts == fresh.counts, "incremental cover counts drifted"
     assert cover.counts.count(0) == fresh.counts.count(0), "incremental undominated count drifted"
     assert not any(is_redundant(cover, v) for v in cover.members), "a redundant member survived the prune"
@@ -243,13 +243,13 @@ def test_swap_phase_never_grows_and_stays_valid(monkeypatch):
     rng = random.Random(808)
     for _ in range(30):
         g = gnp(rng.randint(1, 40), rng.uniform(0.05, 0.4), rng.randrange(10**6))
-        cover = compute_cover_counts(g, greedy_ln(g))
+        cover = Cover(g, greedy_ln(g).members)
         backward_prune(cover)
         size_after_prune = len(cover.members)
         _checked_swap_phase(monkeypatch, cover, attempt_cap=8, budget=Budget(None), rng=random.Random(0))
         assert len(cover.members) <= size_after_prune
         assert verify(g, cover.solution).valid
-        assert cover.counts == compute_cover_counts(g, cover.solution).counts
+        assert cover.counts == Cover(g, cover.members).counts
 
 
 def _reference_swap_phase(cover, attempt_cap: int, rng: random.Random) -> int:
@@ -289,9 +289,9 @@ def test_local_prune_matches_full_prune_after_every_move(monkeypatch):
             g = generate_instance("grid", 0, rows=rng.randint(1, 17), cols=rng.randint(1, 17))[0]
         for members in _start_sets(rng, g):
             for seed in (1, 2, 3):
-                ref = compute_cover_counts(g, Solution.from_members(g.n, members))
+                ref = Cover(g, members)
                 later_removed += _reference_swap_phase(ref, 6, random.Random(seed))
-                cover = compute_cover_counts(g, Solution.from_members(g.n, members))
+                cover = Cover(g, members)
                 backward_prune(cover)
                 _checked_swap_phase(monkeypatch, cover, attempt_cap=6, budget=Budget(), rng=random.Random(seed))
                 assert cover.members == ref.members, (i, seed)
@@ -305,7 +305,7 @@ def test_swap_phase_deterministic():
     g = gnp(12, 0.3, seed=9)
     runs = []
     for _ in range(2):
-        cover = compute_cover_counts(g, greedy_ln(g))
+        cover = Cover(g, greedy_ln(g).members)
         backward_prune(cover)
         swap_phase(cover, attempt_cap=20, budget=Budget(None), rng=random.Random(7))
         runs.append(list(cover.members))
@@ -314,7 +314,7 @@ def test_swap_phase_deterministic():
 
 def test_safety_patch_valid_solution_untouched():
     g = path_graph(5)
-    cover = compute_cover_counts(g, greedy_ln(g))
+    cover = Cover(g, greedy_ln(g).members)
     before = list(cover.members)
     assert safety_patch(cover) == 0
     assert cover.members == before
@@ -322,14 +322,14 @@ def test_safety_patch_valid_solution_untouched():
 
 def test_safety_patch_repairs_empty_solution():
     g = star_graph(3)
-    cover = compute_cover_counts(g, Solution(4))
+    cover = Cover(g, Solution(4).members)
     assert safety_patch(cover) == 1
     assert cover.members == [0]  # the center covers all four vertices
 
 
 def test_safety_patch_isolates():
     g = Graph.from_edges(2, [])
-    cover = compute_cover_counts(g, Solution(2))
+    cover = Cover(g, Solution(2).members)
     assert safety_patch(cover) == 2
     assert verify(g, cover.solution).valid
 
@@ -339,8 +339,8 @@ def test_safety_patch_always_terminates_valid():
     for _ in range(30):
         g = gnp(rng.randint(1, 40), rng.uniform(0, 0.3), rng.randrange(10**6))
         # random partial garbage
-        sol = Solution.from_members(g.n, [v for v in range(g.n) if rng.random() < 0.2])
-        cover = compute_cover_counts(g, sol)
+        sol = Solution(g.n, [v for v in range(g.n) if rng.random() < 0.2])
+        cover = Cover(g, sol.members)
         added = safety_patch(cover)
         assert added <= g.n
         assert verify(g, cover.solution).valid
@@ -353,7 +353,7 @@ def test_safety_patch_matches_reference_rule():
         sol = random_partial_set(rng, g)
         before = list(sol.members)
         expected = eager_continuation(g, sol)
-        cover = compute_cover_counts(g, sol)
+        cover = Cover(g, sol.members)
         assert safety_patch(cover) == len(expected)
         assert cover.members == before + expected
         assert verify(g, cover.solution).valid

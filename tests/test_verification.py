@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from domset import Graph, Solution, add_to_d, brute_force_optimum, compute_cover_counts, gnp, greedy_ln, verify
+from domset import Graph, Solution, add_to_d, brute_force_optimum, compute_cover_counts, gnp, greedy_ln, random_tree, star_forest, verify
 
-from conftest import closed_neighborhood, complete_graph, cycle_graph, path_graph, star_graph
+from conftest import closed_neighborhood, complete_graph, cycle_graph, forest_domination_number, path_graph, star_graph
 
 
 def exhaustive_gamma(g: Graph) -> int:
@@ -24,7 +24,7 @@ def exhaustive_gamma(g: Graph) -> int:
 
 def test_verify_star_center():
     g = star_graph(4)
-    report = verify(g, Solution.from_members(5, [0]))
+    report = verify(g, Solution(5, [0]))
     assert report.valid
     assert report.first_uncovered is None
     assert report.size == 1
@@ -39,12 +39,12 @@ def test_verify_empty_set_reports_first_vertex():
 
 def test_verify_full_vertex_set():
     g = cycle_graph(5)
-    assert verify(g, Solution.from_members(5, range(5))).valid
+    assert verify(g, Solution(5, range(5))).valid
 
 
 def test_verify_reports_smallest_uncovered():
     g = Graph.from_edges(4, [(0, 1)])
-    report = verify(g, Solution.from_members(4, [0]))
+    report = verify(g, Solution(4, [0]))
     assert report.first_uncovered == 2
 
 
@@ -88,7 +88,7 @@ def test_oracle_witness_is_valid_and_minimal():
         g = gnp(rng.randint(1, 14), rng.uniform(0, 0.5), rng.randrange(10**6))
         gamma, witness = brute_force_optimum(g)
         assert len(witness) == gamma
-        assert verify(g, Solution.from_members(g.n, witness)).valid
+        assert verify(g, Solution(g.n, witness)).valid
 
 
 def test_oracle_lower_bounds_heuristics():
@@ -101,3 +101,13 @@ def test_oracle_lower_bounds_heuristics():
 def test_oracle_refuses_large_instances():
     with pytest.raises(ValueError, match="n <= 24"):
         brute_force_optimum(gnp(25, 0.1, seed=1))
+
+
+def test_forest_dp_matches_the_oracle():
+    # The tree DP is the exact reference on forests far beyond the oracle's
+    # reach; on small trees and star forests it must agree with the oracle.
+    rng = random.Random(29)
+    for i in range(300):
+        n = rng.randint(1, 18)
+        g = random_tree(n, 8000 + i) if i % 2 else star_forest(n, rng.randint(1, 6), 8000 + i)
+        assert forest_domination_number(g) == brute_force_optimum(g)[0], (i, n)
