@@ -20,8 +20,8 @@ member ``out`` it takes out, without listing them. ``out`` is a member, so
 the draw ``i`` from ``k`` then picks the i-th non-member in ``adj[out]``,
 as an index into the list of them would.
 
-The budget is polled once per block of 256 moves, at moves 0, 256, 512,
-... of each epoch, so no move tests the step count.
+The budget is polled before each block of ``POLL_BATCH`` moves of an epoch,
+the batch every stage polls by, so no move tests the step count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 
 from .graph import Solution
-from .state import UNBOUNDED, Budget, Cover
+from .state import POLL_BATCH, UNBOUNDED, Budget, Cover
 
 __all__ = ["AnnealConfig", "decay", "sa_solve", "TEMPERATURE_FLOOR"]
 
@@ -40,9 +40,6 @@ TEMPERATURE_FLOOR = 1e-6
 # removal : exchange : addition proposal mix.
 _P_REMOVAL = 0.4
 _P_EXCHANGE = 0.8
-
-# Moves between two budget polls.
-_POLL_MOVES = 256
 
 
 @dataclass
@@ -82,12 +79,12 @@ def sa_solve(cover: Cover, cfg: AnnealConfig, rng: random.Random, budget: Budget
     Every move draws from ``rng``, seeded by the caller, exactly as
     ``randrange`` would (see the module docstring); an exchange counts its
     candidates as ``len(adj[out]) + 1 - counts[out]``, with no list.
-    ``budget`` is polled before each block of 256 moves, the first block
-    of an epoch included; the run ends at the poll that finds it expired.
-    Raises ValueError if the set does not dominate. The moves keep the
-    incremental cover counts, which are checked at the end of every epoch,
-    a cut-short one included. At the end :meth:`Cover.load` puts back the
-    best set in the member order it had when it was seen.
+    ``budget`` is polled before each block of ``POLL_BATCH`` moves, the
+    first block of an epoch included; the run ends at the poll that finds
+    it expired. Raises ValueError if the set does not dominate. The moves
+    keep the incremental cover counts, which are checked at the end of
+    every epoch, a cut-short one included. At the end :meth:`Cover.load`
+    puts back the best set in the member order it had when it was seen.
     """
     n = cover.g.n
     if 0 in cover.counts:
@@ -116,11 +113,11 @@ def sa_solve(cover: Cover, cfg: AnnealConfig, rng: random.Random, budget: Budget
     expired = False
     for _ in range(cfg.max_epochs):
         accept = math.exp(-1.0 / temperature)
-        for block in range(0, moves_per_epoch, _POLL_MOVES):
+        for block in range(0, moves_per_epoch, POLL_BATCH):
             if budget.expired():
                 expired = True
                 break
-            for _ in range(min(_POLL_MOVES, moves_per_epoch - block)):
+            for _ in range(min(POLL_BATCH, moves_per_epoch - block)):
                 r = rand()
                 if r < _P_EXCHANGE:
                     i = getrandbits(bits)

@@ -98,9 +98,9 @@ def compute_cover_counts(g: Graph) -> Cover:
     return Cover(g)
 
 
-# Greedy and the swap phase poll their budget once per this many units of
-# work (bucket visits, degree-weighted candidate checks), which keeps timer
-# and stop-event reads negligible relative to the work they bound.
+# Every stage polls its budget once per this many units of work (greedy's
+# bucket visits, swap's degree-weighted candidate checks, annealing's moves),
+# which keeps timer and stop-event reads negligible next to that work.
 POLL_BATCH = 64
 
 

@@ -4,6 +4,7 @@ members for neighbours under the run budget and prunes after each."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .state import POLL_BATCH, Budget, Cover
@@ -87,9 +88,10 @@ def try_one_swap(cover: Cover, w: int) -> SwapMove | None:
     None with the state untouched. A member that covers nothing alone also
     gets None: removing it is :func:`backward_prune`'s job.
 
-    When a vertex u other than ``w`` is uniquely covered, a qualifying t
-    must cover u, so it lies in N[u]: only the non-members of N(w) ∩ N[u]
-    are tested, in ascending order, which is adjacency order. A candidate
+    Let u be the last uniquely covered vertex, ``w`` counted before N(w).
+    A qualifying t must cover u, so the candidates are the non-members of
+    N(w) that are u or lie in N(u), in adjacency order, found in one pass
+    over N(w) with a binary search of N(u) for each. A candidate
     qualifies when every uniquely covered x is t or in N(t), and only a
     qualifying one has its absorbed vertices counted. That skips only
     candidates that could not qualify, so the same t wins. When ``w``
@@ -105,15 +107,15 @@ def try_one_swap(cover: Cover, w: int) -> SwapMove | None:
     if not unique:
         return None
     in_set = cover.in_set
-    # unique lists w first, so u != w unless w is the only one, and then
-    # N(w) ∩ N[u] is N(w).
+    # unique lists w first, so u is w only when w is the only one, and then
+    # N(u) is N(w); else w lies in N(u). So nu is never empty in the loop,
+    # and as it ascends, its last entry not above t is t iff t is in N(u).
     u = unique[-1]
-    cands = set(adj[u]).intersection(nw)
-    cands.add(u)
+    nu = adj[u]
     best_t = -1
     best_absorbed = -1
-    for t in sorted(cands):
-        if in_set[t]:
+    for t in nw:
+        if in_set[t] or (t != u and nu[bisect_right(nu, t) - 1] != t):
             continue
         near = adj[t]
         for x in unique:

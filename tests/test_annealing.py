@@ -17,6 +17,7 @@ from domset import (
     verify,
 )
 from domset.annealing import TEMPERATURE_FLOOR
+from domset.state import POLL_BATCH
 
 from conftest import path_graph, random_instance, reference_sa, star_graph
 
@@ -117,7 +118,7 @@ def test_sa_matches_reference_loop():
     # threshold must leave every move as the plain loop makes it. Seeds
     # from greedy and from the whole vertex set, temperatures where
     # additions are common and rare, and epoch lengths below and off
-    # multiples of the 256-move budget poll.
+    # multiples of the POLL_BATCH-move budget poll.
     rng = random.Random(2026)
     for case in range(160):
         g = random_instance(rng, case % 4)
@@ -125,7 +126,7 @@ def test_sa_matches_reference_loop():
         cfg = AnnealConfig(
             initial_temperature=rng.choice((1.0, 0.3, 0.1)),
             cooling_factor=rng.choice((0.995, 0.9, 0.5)),
-            moves_per_epoch=rng.choice((None, rng.randint(1, 255), 256 * rng.randint(1, 3) + rng.randint(1, 255))),
+            moves_per_epoch=rng.choice((None, rng.randint(1, POLL_BATCH - 1), POLL_BATCH * rng.randint(1, 3) + rng.randint(1, POLL_BATCH - 1))),
             max_epochs=rng.randint(0, 15),
         )
         seed = rng.randrange(10**6)
@@ -201,15 +202,16 @@ class _PollRecordingBudget(Budget):
 
 
 @pytest.mark.parametrize("moves_per_epoch", [1, 255, 256, 257, 600])
-def test_sa_polls_its_budget_every_256_moves(moves_per_epoch):
+def test_sa_polls_its_budget_every_poll_batch_moves(moves_per_epoch):
     # The budget is polled before each epoch's first move and then after
-    # every 256 moves of the epoch, and a run that finds it expired makes
-    # no further move.
+    # every POLL_BATCH moves of the epoch, and a run that finds it expired
+    # makes no further move. With POLL_BATCH = 64, 255 and 257 lie one
+    # move either side of the multiple 256.
     g = gnp(300, 0.03, seed=4)
     seed_solution = greedy_ln(g)
     epochs = 3
     cfg = AnnealConfig(moves_per_epoch=moves_per_epoch, max_epochs=epochs)
-    expected = [e * moves_per_epoch + b for e in range(epochs) for b in range(0, moves_per_epoch, 256)]
+    expected = [e * moves_per_epoch + b for e in range(epochs) for b in range(0, moves_per_epoch, POLL_BATCH)]
     for trip in (None, 1, 2, len(expected)):
         budget = _PollRecordingBudget(trip)
         cover = Cover(g, seed_solution.members)
@@ -220,7 +222,7 @@ def test_sa_polls_its_budget_every_256_moves(moves_per_epoch):
             assert budget.polls == expected
             assert budget.rng.moves == epochs * moves_per_epoch
             gaps = [b - a for a, b in zip(budget.polls, budget.polls[1:] + [budget.rng.moves])]
-            assert max(gaps) <= 256
+            assert max(gaps) <= POLL_BATCH
         else:
             assert budget.polls == expected[:trip]
             assert budget.rng.moves == budget.polls[-1]

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from domset import Graph, Solution, add_to_d, brute_force_optimum, compute_cover_counts, gnp, greedy_ln, random_tree, star_forest, verify
+from domset import Graph, Solution, add_to_d, brute_force_optimum, compute_cover_counts, gnp, greedy_ln, grid, random_tree, star_forest, verify
 
 from conftest import closed_neighborhood, complete_graph, cycle_graph, forest_domination_number, path_graph, star_graph
 
@@ -89,6 +89,25 @@ def test_oracle_witness_is_valid_and_minimal():
         gamma, witness = brute_force_optimum(g)
         assert len(witness) == gamma
         assert verify(g, Solution(g.n, witness)).valid
+
+
+def grid_domination_number(r: int, c: int) -> int:
+    """The domination number of the r x c grid for r <= 4, r <= c: the
+    closed forms of Jacobson and Kinch (1984)."""
+    if r == 1:
+        return (c + 2) // 3
+    if r == 2:
+        return (c + 2) // 2
+    if r == 3:
+        return (3 * c + 4) // 4
+    return c + 1 if c in (1, 2, 3, 5, 6, 9) else c
+
+
+def test_oracle_matches_the_closed_forms_on_small_grids():
+    grids = [(r, c) for r in range(1, 5) for c in range(r, 25) if r * c <= 24]
+    assert len(grids) == 44
+    for r, c in grids:
+        assert brute_force_optimum(grid(r, c))[0] == grid_domination_number(r, c), (r, c)
 
 
 def test_oracle_lower_bounds_heuristics():
