@@ -14,11 +14,11 @@ so the moves, and the set that comes back, are the ones the
 ``randrange`` calls gave, without its two Python-level frames per draw.
 
 An exchange draws the vertex to put in among the non-members next to the
-member ``out`` it takes out, without listing them. ``out`` is a member, so
-``counts[out]`` is 1 plus its number of member neighbours, and
-``k = len(adj[out]) + 1 - counts[out]`` counts the non-members in O(1);
-the draw ``i`` from ``k`` then picks the i-th non-member in ``adj[out]``,
-as an index into the list of them would.
+member ``out`` it takes out, without listing them. ``counts[out]`` is the
+number of members in N[out], so ``k = len(closed[out]) - counts[out]``
+counts the non-members in O(1); the draw ``i`` from ``k`` then picks the
+i-th non-member in ``closed[out]``, as an index into the list of them
+would.
 
 The budget is polled before each block of ``POLL_BATCH`` moves of an epoch,
 the batch every stage polls by, so no move tests the step count.
@@ -78,7 +78,7 @@ def sa_solve(cover: Cover, cfg: AnnealConfig, rng: random.Random, budget: Budget
 
     Every move draws from ``rng``, seeded by the caller, exactly as
     ``randrange`` would (see the module docstring); an exchange counts its
-    candidates as ``len(adj[out]) + 1 - counts[out]``, with no list.
+    candidates as ``len(closed[out]) - counts[out]``, with no list.
     ``budget`` is polled before each block of ``POLL_BATCH`` moves, the
     first block of an epoch included; the run ends at the poll that finds
     it expired. Raises ValueError if the set does not dominate. The moves
@@ -103,7 +103,7 @@ def sa_solve(cover: Cover, cfg: AnnealConfig, rng: random.Random, budget: Budget
     size = len(cur)
     bits = size.bit_length()
     best = list(cur)
-    adj = cover.adj
+    closed = cover.closed
     rand = rng.random
     getrandbits = rng.getrandbits
     n_bits = n.bit_length()
@@ -124,11 +124,9 @@ def sa_solve(cover: Cover, cfg: AnnealConfig, rng: random.Random, budget: Budget
                     while i >= size:
                         i = getrandbits(bits)
                     out = cur[i]
-                    nb = adj[out]
+                    nb = closed[out]
                     if r < _P_REMOVAL:
                         # Dropping out must leave all of N[out] dominated.
-                        if counts[out] < 2:
-                            continue
                         for x in nb:
                             if counts[x] < 2:
                                 break
@@ -139,9 +137,9 @@ def sa_solve(cover: Cover, cfg: AnnealConfig, rng: random.Random, budget: Budget
                             if size < len(best):
                                 best = list(cur)
                         continue
-                    # out is a member, so counts[out] is 1 plus its member
-                    # neighbours: k is its number of non-member neighbours.
-                    k = len(nb) + 1 - counts[out]
+                    # counts[out] is the number of members in N[out]: k is
+                    # its number of non-members, so of non-member neighbours.
+                    k = len(nb) - counts[out]
                     if not k:
                         continue
                     kbits = k.bit_length()
@@ -153,13 +151,12 @@ def sa_solve(cover: Cover, cfg: AnnealConfig, rng: random.Random, budget: Budget
                             if not i:
                                 break
                             i -= 1
-                    # put must dominate every vertex that only out dominates:
-                    # out itself is a neighbor of put, and any other such x
-                    # must be put or adjacent to it. Only those x are tested,
-                    # each by one lookup in put's neighbour tuple.
-                    near = adj[put]
+                    # put must dominate every vertex of N[out] that only out
+                    # dominates. Only those x are tested, each by one lookup
+                    # in put's closed tuple.
+                    near = closed[put]
                     for x in nb:
-                        if counts[x] == 1 and x != put and x not in near:
+                        if counts[x] == 1 and x not in near:
                             break
                     else:
                         drop(out)

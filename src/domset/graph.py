@@ -2,10 +2,10 @@
 solution format, and :func:`member_flags`, the one member-list check.
 
 :meth:`Graph.from_edges` builds the compressed sparse row layout in numpy
-and hands it out as one neighbor tuple per vertex; no other module sees
-the flat layout. Vertices are 0-indexed everywhere inside the library;
-the 1-indexed convention of the on-disk format applies only at the I/O
-boundary.
+and hands it out as one closed-neighbourhood tuple per vertex; no other
+module sees the flat layout. Vertices are 0-indexed everywhere inside the
+library; the 1-indexed convention of the on-disk format applies only at
+the I/O boundary.
 """
 
 from __future__ import annotations
@@ -37,29 +37,29 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
-# Neighbor entries converted to Python ints per step.
+# Closed-neighbourhood entries converted to Python ints per step.
 _NBR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected graph as per-vertex neighbor tuples.
+    """Immutable undirected graph as per-vertex closed neighbourhoods.
 
-    ``adj[v]`` holds the neighbors of ``v`` in ascending order, with
+    ``closed[v]`` is N[v]: ``v`` and its neighbours, ascending, with
     self-loops dropped and duplicate edges collapsed; the degree of ``v``
-    is ``len(adj[v])``. Every stage scans ``adj[v]`` directly, which costs
-    no per-scan copy. The entries are interned: all 2m of them are drawn
-    from n shared int objects, one per vertex ID, which keeps a large graph
-    near 8 bytes per entry. Tuples, not lists: the garbage collector stops
+    is ``len(closed[v]) - 1``. Every stage scans ``closed[v]`` directly,
+    which costs no per-scan copy and leaves no stage to add ``v`` back by
+    hand. The entries are interned: all n + 2m of them are drawn from n
+    shared int objects, one per vertex ID, which keeps a large graph near
+    8 bytes per entry. Tuples, not lists: the garbage collector stops
     tracking a tuple of ints after one pass, so its later passes during a
-    run skip the whole adjacency. The structure is never mutated after
-    construction, so it can be shared freely between concurrent solver
-    runs.
+    run skip the whole structure. It is never mutated after construction,
+    so it can be shared freely between concurrent solver runs.
     """
 
     n: int
     m: int
-    adj: list[tuple[int, ...]]
+    closed: list[tuple[int, ...]]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -68,40 +68,41 @@ class Graph:
         Self-loops are ignored and duplicate edges (in either orientation)
         are collapsed; ``m`` reflects the cleaned edge count. ``edges`` is a
         list of pairs or a ``(k, 2)`` integer array, as the bulk parser
-        passes. The neighbor IDs are interned (see :class:`Graph`), converted
-        to Python ints in chunks of 64k entries.
+        passes. ``closed[v]`` is N[v], ascending; the IDs are interned (see
+        :class:`Graph`), converted to Python ints in chunks of 64k entries.
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size == 0:
-            return cls(n=n, m=0, adj=[()] * n)
+            return cls(n=n, m=0, closed=[(v,) for v in range(n)])
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
         if int(pairs.min()) < 0 or int(pairs.max()) >= n:
             raise ValueError(f"edge endpoint out of range 0..{n - 1}")
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        # Encoding u*n+v for both orientations and sorting lays the
-        # neighbors out in CSR order: grouped by head, ascending within a
-        # group. Dropping each code equal to its predecessor removes
-        # duplicate edges.
-        enc = np.concatenate((pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]))
+        # Encoding u*n+v for both orientations and the n self codes v*n+v,
+        # then sorting, lays N[v] out in CSR order: grouped by head,
+        # ascending within a group. Dropping each code equal to its
+        # predecessor removes duplicate edges and self-loops, whose codes
+        # equal a self code.
+        selves = np.arange(n, dtype=np.int64) * (n + 1)
+        enc = np.concatenate((pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0], selves))
         enc.sort()
         fresh = np.empty(len(enc), dtype=bool)
         fresh[:1] = True
         np.not_equal(enc[1:], enc[:-1], out=fresh[1:])
         enc = enc[fresh]
         # Gathering from an object array of the n IDs makes every entry one
-        # of n shared ints instead of one of 2m fresh ones; chunks bound the
-        # gathered temporary. Each vertex takes the next row_len[v] entries.
+        # of n shared ints instead of one of n + 2m fresh ones; chunks bound
+        # the gathered temporary. Each vertex takes the next row_len[v] entries.
         row_len = np.bincount(enc // n, minlength=n).tolist()
         ids = np.arange(n).astype(object)
         col = enc % n
         flat = chain.from_iterable(
             ids[col[start : start + _NBR_CHUNK]].tolist() for start in range(0, len(col), _NBR_CHUNK)
         )
-        adj = [tuple(islice(flat, d)) for d in row_len]
-        return cls(n=n, m=len(enc) // 2, adj=adj)
+        closed = [tuple(islice(flat, d)) for d in row_len]
+        return cls(n=n, m=(len(enc) - n) // 2, closed=closed)
 
 
 class Solution:
@@ -283,7 +284,7 @@ def to_ds(g: Graph) -> str:
         raise ValueError(f"vertex count must be at least 1, got {g.n}")
     lines = [f"p ds {g.n} {g.m}"]
     for u in range(g.n):
-        for w in g.adj[u]:
+        for w in g.closed[u]:
             if w > u:
                 lines.append(f"{u + 1} {w + 1}")
     return "\n".join(lines) + "\n"

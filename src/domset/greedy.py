@@ -30,10 +30,10 @@ def apply_isolate_rule(cover: Cover) -> int:
     """Force every degree-0 vertex that is not yet dominated (so not yet a
     member) into the solution; returns how many were added."""
     before = len(cover.members)
-    adj = cover.adj
+    closed = cover.closed
     counts = cover.counts
     for v in range(cover.g.n):
-        if not adj[v] and not counts[v]:
+        if len(closed[v]) == 1 and not counts[v]:
             cover.add(v)
     return len(cover.members) - before
 
@@ -42,24 +42,26 @@ def apply_leaf_rule(cover: Cover) -> int:
     """Force the unique neighbor of every still-undominated leaf.
 
     Leaves are visited in ascending vertex ID; a leaf that a member, an
-    earlier forced one included, already dominates is skipped. An
-    undominated leaf's neighbor is not a member, since it would dominate
-    the leaf. Returns how many vertices were added.
+    earlier forced one included, already dominates is skipped. A leaf's
+    N[u] holds u and its neighbour, in either order. An undominated leaf's
+    neighbor is not a member, since it would dominate the leaf. Returns how
+    many vertices were added.
     """
     before = len(cover.members)
     counts = cover.counts
-    adj = cover.adj
+    closed = cover.closed
     for u in range(cover.g.n):
-        if len(adj[u]) == 1 and not counts[u]:
-            cover.add(adj[u][0])
+        near = closed[u]
+        if len(near) == 2 and not counts[u]:
+            cover.add(near[1] if near[0] == u else near[0])
     return len(cover.members) - before
 
 
 def true_gain(cover: Cover, v: int) -> int:
     """Number of currently undominated vertices in the closed neighborhood of ``v``."""
     counts = cover.counts
-    gain = 0 if counts[v] else 1
-    for x in cover.adj[v]:
+    gain = 0
+    for x in cover.closed[v]:
         if not counts[x]:
             gain += 1
     return gain
@@ -90,12 +92,11 @@ def lazy_greedy(cover: Cover, budget: Budget = UNBOUNDED) -> None:
     if not uncovered:
         return
     g = cover.g
-    adj = g.adj
-    gain = [len(a) + 1 for a in adj]
+    closed = g.closed
+    gain = [len(near) for near in closed]
     for x in range(g.n):
         if counts[x]:
-            gain[x] -= 1
-            for y in adj[x]:
+            for y in closed[x]:
                 gain[y] -= 1
     top = max(gain)
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
@@ -119,11 +120,10 @@ def lazy_greedy(cover: Cover, budget: Budget = UNBOUNDED) -> None:
                 continue
             add_to_d(cover, v)
             # The vertices v dominates for the first time are counted once now.
-            for x in (v, *adj[v]):
+            for x in closed[v]:
                 if counts[x] == 1:
                     uncovered -= 1
-                    gain[x] -= 1
-                    for y in adj[x]:
+                    for y in closed[x]:
                         gain[y] -= 1
             if not uncovered:
                 return

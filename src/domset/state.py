@@ -29,15 +29,16 @@ class Cover:
     appends, and a drop moves the last member into the freed slot, so both
     moves are O(deg). It is the Cover's one member order: until the first
     drop it is insertion order, the order the backward prune reads.
-    ``adj`` is the graph's own neighbour tuple list (``g.adj``, not a
-    copy), held so that a move reads ``N(v)`` with one attribute lookup.
+    ``closed`` is the graph's own closed-neighbourhood list (``g.closed``,
+    not a copy), held so that a move reads ``N[v]`` with one attribute
+    lookup; every move counts ``v`` in its one loop over ``closed[v]``.
     """
 
-    __slots__ = ("g", "adj", "in_set", "members", "counts", "pos")
+    __slots__ = ("g", "closed", "in_set", "members", "counts", "pos")
 
     def __init__(self, g: Graph, members: Iterable[int] = ()) -> None:
         self.g = g
-        self.adj = g.adj
+        self.closed = g.closed
         self.in_set, self.members, self.counts, self.pos = [], [], [], []  # sized by load
         self.load(members)
 
@@ -49,12 +50,11 @@ class Cover:
         n = self.g.n
         self.in_set[:] = member_flags(n, order)
         self.members[:] = order
-        counts, pos, adj = self.counts, self.pos, self.adj
+        counts, pos, closed = self.counts, self.pos, self.closed
         counts[:] = pos[:] = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
-            counts[v] += 1
-            for x in adj[v]:
+            for x in closed[v]:
                 counts[x] += 1
 
     def add(self, v: int) -> None:
@@ -65,8 +65,7 @@ class Cover:
         self.pos[v] = len(members)
         members.append(v)
         counts = self.counts
-        counts[v] += 1
-        for x in self.adj[v]:
+        for x in self.closed[v]:
             counts[x] += 1
 
     def drop(self, v: int) -> None:
@@ -81,8 +80,7 @@ class Cover:
             members[i] = last
             pos[last] = i
         counts = self.counts
-        counts[v] -= 1
-        for x in self.adj[v]:
+        for x in self.closed[v]:
             counts[x] -= 1
 
     @property

@@ -32,40 +32,32 @@ def backward_prune(cover: Cover, near: int | None = None) -> None:
     now has a count of exactly 2, with v as its one dominator besides
     ``near``. ``near`` itself is never redundant, because it now alone
     covers the vertices the removed member covered alone. So only those
-    other dominators of count-2 vertices in N[near] are scanned, in the
-    full pass's order: by position in ``members``, last first. Every
-    member left out is not redundant now, and removals only lower counts,
-    so it would not have been removed later in the pass: the result equals
-    the full pass's, and the set is prune-minimal again for the next
-    exchange.
+    other dominators of count-2 vertices x in N[near], each the member of
+    N[x] that is not ``near``, are scanned, in the full pass's order: by
+    position in ``members``, last first. Every member left out is not
+    redundant now, and removals only lower counts, so it would not have
+    been removed later in the pass: the result equals the full pass's, and
+    the set is prune-minimal again for the next exchange.
     """
     in_set = cover.in_set
     counts = cover.counts
-    adj = cover.adj
+    closed = cover.closed
     if near is not None:
         cand = set()
-        for x in (near, *adj[near]):
-            if counts[x] != 2:
-                continue
-            if x != near and in_set[x]:
-                cand.add(x)
-                continue
-            for y in adj[x]:
-                if y != near and in_set[y]:
-                    cand.add(y)
-                    break
+        for x in closed[near]:
+            if counts[x] == 2:
+                for y in closed[x]:
+                    if y != near and in_set[y]:
+                        cand.add(y)
+                        break
         order = sorted(cand, key=cover.pos.__getitem__, reverse=True)
     else:
         order = cover.members[::-1]
     for v in order:
-        if counts[v] < 2:
-            continue
-        redundant = True
-        for x in adj[v]:
+        for x in closed[v]:
             if counts[x] < 2:
-                redundant = False
                 break
-        if redundant:
+        else:
             cover.drop(v)
 
 
@@ -80,49 +72,50 @@ class SwapMove:
 def try_one_swap(cover: Cover, w: int) -> SwapMove | None:
     """Attempt to exchange member ``w`` for a neighbour.
 
-    The candidates t in N(w) outside the set are scanned in adjacency order
-    for those whose closed neighborhood contains every vertex ``w`` covers
-    alone; among them the one absorbing the most uniquely covered vertices
-    overall wins (first in adjacency order on ties), since every uniqueness
-    it erases is a future pruning opportunity. Returns the applied move, or
-    None with the state untouched. A member that covers nothing alone also
-    gets None: removing it is :func:`backward_prune`'s job.
+    The candidates t in N[w] outside the set, so neighbours of ``w``, are
+    scanned in ascending ID for those whose closed neighborhood contains
+    every vertex of N[w] that ``w`` covers alone; among them the one
+    absorbing the most uniquely covered vertices overall wins (the smallest
+    ID on ties), since every uniqueness it erases is a future pruning
+    opportunity. Returns the applied move, or None with the state
+    untouched. A member that covers nothing alone also gets None: removing
+    it is :func:`backward_prune`'s job.
 
-    Let u be the last uniquely covered vertex, ``w`` counted before N(w).
-    A qualifying t must cover u, so the candidates are the non-members of
-    N(w) that are u or lie in N(u), in adjacency order, found in one pass
-    over N(w) with a binary search of N(u) for each. A candidate
-    qualifies when every uniquely covered x is t or in N(t), and only a
-    qualifying one has its absorbed vertices counted. That skips only
-    candidates that could not qualify, so the same t wins. When ``w``
-    alone is uniquely covered, u is ``w`` and every t in N(w) is tested.
+    A qualifying t must cover each uniquely covered u, so the candidates
+    are the non-members of N[w] in N[u], found in one pass over N[w] with a
+    binary search of N[u] for each. u is a uniquely covered vertex other
+    than ``w`` when there is one, since u == w would filter nothing. A
+    candidate qualifies when every uniquely covered x is in N[t], and only
+    a qualifying one has its absorbed vertices counted. That skips only
+    candidates that could not qualify, so the same t wins.
     """
-    adj = cover.adj
+    closed = cover.closed
     counts = cover.counts
-    nw = adj[w]
-    unique = [w] if counts[w] == 1 else []
+    nw = closed[w]
+    # A loop, not a comprehension: on CPython 3.11 the comprehension's
+    # extra frame is measurable on this hot path.
+    unique = []
     for x in nw:
         if counts[x] == 1:
             unique.append(x)
     if not unique:
         return None
     in_set = cover.in_set
-    # unique lists w first, so u is w only when w is the only one, and then
-    # N(u) is N(w); else w lies in N(u). So nu is never empty in the loop,
-    # and as it ascends, its last entry not above t is t iff t is in N(u).
-    u = unique[-1]
-    nu = adj[u]
+    # unique ascends; N[u] holds u, so it is never empty, and as it
+    # ascends, its last entry not above t is t iff t is in N[u].
+    u = unique[0] if unique[-1] == w else unique[-1]
+    nu = closed[u]
     best_t = -1
     best_absorbed = -1
     for t in nw:
-        if in_set[t] or (t != u and nu[bisect_right(nu, t) - 1] != t):
+        if in_set[t] or nu[bisect_right(nu, t) - 1] != t:
             continue
-        near = adj[t]
+        near = closed[t]
         for x in unique:
-            if x != t and x not in near:
+            if x not in near:
                 break
         else:
-            absorbed = 1 if counts[t] == 1 else 0
+            absorbed = 0
             for y in near:
                 if counts[y] == 1:
                     absorbed += 1
@@ -157,7 +150,7 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
     if budget.expired():
         return
     in_set = cover.in_set
-    adj = cover.adj
+    closed = cover.closed
     checks = 0
     for _ in range(attempt_cap):
         order = list(cover.members)
@@ -166,7 +159,7 @@ def swap_phase(cover: Cover, attempt_cap: int, budget: Budget, rng: random.Rando
         for w in order:
             if not in_set[w]:
                 continue
-            checks += len(adj[w]) + 1
+            checks += len(closed[w])
             if checks >= POLL_BATCH:
                 checks = 0
                 if budget.expired():

@@ -23,12 +23,11 @@ def verify(g: Graph, sol: Solution) -> VerifyReport:
     vertex (0-indexed, one flag scan) otherwise. ValueError on out-of-range members."""
     n = g.n
     dominated = [False] * n
-    adj = g.adj
+    closed = g.closed
     for d in sol.members:
         if not 0 <= d < n:
             raise ValueError(f"solution member {d} out of range 0..{n - 1}")
-        dominated[d] = True
-        for x in adj[d]:
+        for x in closed[d]:
             dominated[x] = True
     first = dominated.index(False) if False in dominated else None
     return VerifyReport(valid=first is None, first_uncovered=first, size=len(sol.members))
@@ -38,22 +37,18 @@ def brute_force_optimum(g: Graph) -> tuple[int, list[int]]:
     """Exact domination number with one witness, for graphs up to 24 vertices.
 
     Iterative-deepening search over closed-neighborhood bitmasks: at each
-    node the lowest uncovered vertex is picked and only its possible
-    dominators are branched on, with an admissible coverage bound for
-    pruning. Exponential in the worst case, instant at oracle scale.
+    node the lowest uncovered vertex x is picked and only its possible
+    dominators, N[x] in ascending order, are branched on, with an
+    admissible coverage bound for pruning. Exponential in the worst case,
+    instant at oracle scale.
     """
     n = g.n
     if n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got {n}")
     if n == 0:
         return 0, []
-    adj = g.adj
-    masks = []
-    for v in range(n):
-        mask = 1 << v
-        for x in adj[v]:
-            mask |= 1 << x
-        masks.append(mask)
+    closed = g.closed
+    masks = [sum(1 << x for x in near) for near in closed]
     full = (1 << n) - 1
     max_cover = max(mask.bit_count() for mask in masks)
     chosen: list[int] = []
@@ -64,7 +59,7 @@ def brute_force_optimum(g: Graph) -> tuple[int, list[int]]:
         if depth == 0 or uncovered.bit_count() > depth * max_cover:
             return False
         x = (uncovered & -uncovered).bit_length() - 1
-        for v in (x, *adj[x]):
+        for v in closed[x]:
             chosen.append(v)
             if dfs(uncovered & ~masks[v], depth - 1):
                 return True

@@ -35,30 +35,27 @@ def complete_graph(k: int) -> Graph:
     return Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
-def adjacency_sets(g: Graph) -> list[set[int]]:
-    return [set(g.adj[v]) for v in range(g.n)]
+def neighbors(g: Graph, v: int) -> tuple[int, ...]:
+    """N(v), ascending: the entries of ``g.closed[v]`` other than ``v``."""
+    return tuple(x for x in g.closed[v] if x != v)
 
 
-def closed_neighborhood(g: Graph, v: int) -> list[int]:
-    """``v`` followed by its neighbors (``len(g.adj[v]) + 1`` vertices)."""
-    return [v, *g.adj[v]]
+def reversed_labels(g: Graph) -> Graph:
+    """``g`` with every vertex v renamed n - 1 - v, which reverses the
+    order of each N[v]."""
+    n = g.n
+    return Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u in range(n) for v in g.closed[u] if v > u])
 
 
 def is_redundant(cover, v: int) -> bool:
     """True when every vertex of N[v] is dominated at least twice, so
     dropping member ``v`` keeps the set dominating."""
-    return all(cover.counts[x] >= 2 for x in closed_neighborhood(cover.g, v))
+    return all(cover.counts[x] >= 2 for x in cover.closed[v])
 
 
 def unique_of(cover, v: int) -> list[int]:
-    """Vertices in N[v] that member ``v`` is the only dominator of: ``v``
-    first, then its neighbours in adjacency order."""
-    counts = cover.counts
-    out = [v] if counts[v] == 1 else []
-    for x in cover.adj[v]:
-        if counts[x] == 1:
-            out.append(x)
-    return out
+    """Vertices in N[v] that member ``v`` is the only dominator of, ascending."""
+    return [x for x in cover.closed[v] if cover.counts[x] == 1]
 
 
 def greedy_two_packing(g: Graph) -> list[int]:
@@ -69,8 +66,8 @@ def greedy_two_packing(g: Graph) -> list[int]:
     neighborhoods, so its size is a lower bound on the domination number."""
     taken = [False] * g.n
     packing = []
-    for v in sorted(range(g.n), key=lambda v: (len(g.adj[v]), v)):
-        near = closed_neighborhood(g, v)
+    for v in sorted(range(g.n), key=lambda v: (len(g.closed[v]), v)):
+        near = g.closed[v]
         if not any(taken[x] for x in near):
             packing.append(v)
             for x in near:
@@ -98,13 +95,13 @@ def forest_domination_number(g: Graph) -> int:
         trees += 1
         order = [root]
         for v in order:  # breadth-first; reversed, children precede parents
-            for x in g.adj[v]:
+            for x in neighbors(g, v):
                 if not seen[x]:
                     seen[x] = True
                     parent[x] = v
                     order.append(x)
         for v in reversed(order):
-            children = [x for x in g.adj[v] if x != parent[v]]
+            children = [x for x in neighbors(g, v) if x != parent[v]]
             best = [min(inside[c], covered[c]) for c in children]
             inside[v] = 1 + sum(min(inside[c], covered[c], open_[c]) for c in children)
             open_[v] = min(inf, sum(covered[c] for c in children))
@@ -142,13 +139,13 @@ def eager_continuation(g: Graph, sol: Solution) -> list[int]:
     ID on ties. Returns the added vertices in order."""
     covered = [False] * g.n
     for d in sol.members:
-        for x in closed_neighborhood(g, d):
+        for x in g.closed[d]:
             covered[x] = True
     added = []
     while not all(covered):
-        best = max(range(g.n), key=lambda v: (sum(not covered[x] for x in closed_neighborhood(g, v)), -v))
+        best = max(range(g.n), key=lambda v: (sum(not covered[x] for x in g.closed[v]), -v))
         added.append(best)
-        for x in closed_neighborhood(g, best):
+        for x in g.closed[best]:
             covered[x] = True
     return added
 
@@ -175,13 +172,12 @@ def reference_heap_greedy(cover) -> None:
     max-gain, smallest-ID order ``lazy_greedy`` must follow."""
     g = cover.g
     n = g.n
-    adj = g.adj
+    closed = g.closed
     counts = cover.counts
-    gain = [len(a) + 1 for a in adj]
+    gain = [len(near) for near in closed]
     for x in range(n):
         if counts[x]:
-            gain[x] -= 1
-            for y in adj[x]:
+            for y in closed[x]:
                 gain[y] -= 1
     heap = [-gv * n + v for v, gv in enumerate(gain) if gv]
     heapq.heapify(heap)
@@ -194,30 +190,29 @@ def reference_heap_greedy(cover) -> None:
                 heapq.heappush(heap, -gv * n + v)
             continue
         cover.add(v)
-        for x in (v, *adj[v]):
+        for x in closed[v]:
             if counts[x] == 1:
-                gain[x] -= 1
-                for y in adj[x]:
+                for y in closed[x]:
                     gain[y] -= 1
 
 
 def reference_try_one_swap(cover, w: int) -> SwapMove | None:
-    """The exchange scan without any candidate filter: every t in N(w)
+    """The exchange scan without any candidate filter: every t in N[w]
     outside the set has its closed neighborhood scanned. A t covering all
     that ``w`` alone covers, absorbing the most uniquely covered vertices
-    (first in adjacency order on ties), replaces ``w``. A ``w`` that covers
-    nothing alone is left in place: removing it is the prune's job."""
+    (the smallest ID on ties), replaces ``w``. A ``w`` that covers nothing
+    alone is left in place: removing it is the prune's job."""
     uset = set(unique_of(cover, w))
     if not uset:
         return None
     best_t = -1
     best_absorbed = -1
-    for t in cover.g.adj[w]:
+    for t in cover.g.closed[w]:
         if cover.in_set[t]:
             continue
-        hits = 1 if t in uset else 0
-        absorbed = 1 if cover.counts[t] == 1 else 0
-        for y in cover.g.adj[t]:
+        hits = 0
+        absorbed = 0
+        for y in cover.g.closed[t]:
             if cover.counts[y] == 1:
                 absorbed += 1
                 if y in uset:
@@ -254,15 +249,15 @@ def reference_sa(g: Graph, seed_solution: Solution, cfg: AnnealConfig, seed: int
                     continue
             elif r < 0.8:
                 out = cur[rng.randrange(len(cur))]
-                cands = [t for t in g.adj[out] if not in_set[t]]
+                cands = [t for t in g.closed[out] if not in_set[t]]
                 if not cands:
                     continue
                 put = cands[rng.randrange(len(cands))]
                 unique = unique_of(cover, out)
                 if unique:
                     uset = set(unique)
-                    hits = 1 if put in uset else 0
-                    for y in g.adj[put]:
+                    hits = 0
+                    for y in g.closed[put]:
                         if y in uset:
                             hits += 1
                     if hits != len(uset):

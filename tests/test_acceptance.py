@@ -106,7 +106,7 @@ def test_c2_oracle_optimality_gap_on_tiny_instances():
         if size > gamma + 2:
             gap_violations.append((i, size, gamma))
         greedy_size = len(greedy_ln(g))
-        if greedy_size > (math.log(max(map(len, g.adj)) + 1) + 1) * gamma:
+        if greedy_size > (math.log(max(map(len, g.closed))) + 1) * gamma:
             greedy_violations.append((i, greedy_size, gamma))
     elapsed = time.perf_counter() - start
     rate = exact / total
@@ -253,7 +253,7 @@ def test_c7_reduction_soundness_on_leafy_instances(monkeypatch):
         else:
             g = gnp(n, rng.uniform(0.05, 0.2), seed=3000 + i)
         i += 1
-        if not any(len(a) <= 1 for a in g.adj):
+        if not any(len(near) <= 2 for near in g.closed):
             continue
         built += 1
         gamma, _ = brute_force_optimum(g)
@@ -269,7 +269,7 @@ def test_c7_reduction_soundness_on_leafy_instances(monkeypatch):
             size_regressions.append((i - 1, len(with_stage0), len(without_stage0)))
         chosen = set(with_stage0.members)
         for v in range(g.n):
-            if len(g.adj[v]) == 0 and v not in chosen:
+            if len(g.closed[v]) == 1 and v not in chosen:
                 isolate_misses.append((i - 1, v))
     elapsed = time.perf_counter() - start
     ok = not size_regressions and not isolate_misses

@@ -6,7 +6,7 @@ import pytest
 from domset import Graph, ParseError, generate_instance, gnp, grid, parse_ds, random_tree, star_forest, to_ds
 from domset.graph import _parse_ds_bulk
 
-from conftest import random_instance
+from conftest import neighbors, random_instance
 
 
 def is_connected(g) -> bool:
@@ -16,7 +16,7 @@ def is_connected(g) -> bool:
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        for x in g.adj[v]:
+        for x in g.closed[v]:
             if x not in seen:
                 seen.add(x)
                 queue.append(x)
@@ -26,13 +26,13 @@ def is_connected(g) -> bool:
 def test_gnp_p_zero_is_edgeless():
     g = gnp(10, 0.0, seed=1)
     assert g.m == 0
-    assert list(map(len, g.adj)) == [0] * 10
+    assert list(map(len, g.closed)) == [1] * 10
 
 
 def test_gnp_p_one_is_complete():
     g = gnp(5, 1.0, seed=1)
     assert g.m == 10
-    assert list(map(len, g.adj)) == [4] * 5
+    assert list(map(len, g.closed)) == [5] * 5
 
 
 def test_gnp_tiny_p_is_edgeless_not_an_error():
@@ -62,9 +62,9 @@ def test_grid_shape():
     assert g.m == 3 * 3 + 2 * 4
     assert is_connected(g)
     # corner, edge, interior degrees
-    assert len(g.adj[0]) == 2
-    assert len(g.adj[1]) == 3
-    assert len(g.adj[5]) == 4
+    assert len(g.closed[0]) == 3
+    assert len(g.closed[1]) == 4
+    assert len(g.closed[5]) == 5
 
 
 def test_star_forest_structure():
@@ -72,13 +72,13 @@ def test_star_forest_structure():
     assert g.n == 40
     # every component is a star: no vertex has two neighbors of degree > 1
     for v in range(g.n):
-        if len(g.adj[v]) > 1:
-            assert all(len(g.adj[x]) == 1 for x in g.adj[v])
+        if len(g.closed[v]) > 2:
+            assert all(len(g.closed[x]) == 2 for x in neighbors(g, v))
 
 
 def test_star_forest_produces_leaves_or_isolates():
     g = star_forest(30, 5, seed=11)
-    assert any(len(a) <= 1 for a in g.adj)
+    assert any(len(near) <= 2 for near in g.closed)
 
 
 def test_generated_instances_roundtrip_through_parser():

@@ -6,19 +6,19 @@ import pytest
 
 from domset import Cover, Graph, ParseError, Solution, gnp, parse_ds, parse_solution, to_ds, write_solution
 
-from conftest import adjacency_sets, closed_neighborhood, path_graph, star_graph
+from conftest import neighbors, path_graph, star_graph
 
 
 def test_parse_basic_path():
     g = parse_ds("p ds 3 2\n1 2\n2 3\n")
     assert g.n == 3
     assert g.m == 2
-    assert list(map(len, g.adj)) == [1, 2, 1]
+    assert list(map(len, g.closed)) == [2, 3, 2]
 
 
 def test_parse_drops_self_loops():
     g = parse_ds("p ds 2 2\n1 1\n1 2\n")
-    assert list(map(len, g.adj)) == [1, 1]
+    assert list(map(len, g.closed)) == [2, 2]
     assert g.m == 1
 
 
@@ -26,19 +26,19 @@ def test_parse_edgeless():
     g = parse_ds("p ds 4 0\n")
     assert g.n == 4
     assert g.m == 0
-    assert list(map(len, g.adj)) == [0, 0, 0, 0]
+    assert list(map(len, g.closed)) == [1, 1, 1, 1]
 
 
 def test_parse_collapses_duplicates():
     g = parse_ds("p ds 3 4\n1 2\n2 1\n1 2\n2 3\n")
     assert g.m == 2
-    assert list(map(len, g.adj)) == [1, 2, 1]
+    assert list(map(len, g.closed)) == [2, 3, 2]
 
 
 def test_parse_accepts_comments_and_blanks():
     text = "c header comment\n\np ds 3 2\nc between edges\n1 2\n\n2 3\nc trailing\n\n"
     g = parse_ds(text)
-    assert list(map(len, g.adj)) == [1, 2, 1]
+    assert list(map(len, g.closed)) == [2, 3, 2]
 
 
 def test_parse_accepts_bytes():
@@ -92,51 +92,54 @@ def test_parse_fewer_edges_than_declared():
 
 
 def test_csr_invariants_on_random_edge_lists():
+    # closed[v] is N[v]: v once, its neighbours, ascending and symmetric.
+    # The fixed cases take n = 1 and the edgeless return of from_edges.
     rng = random.Random(1234)
+    cases = [(1, []), (1, [(0, 0)]), (4, [])]
     for _ in range(50):
         n = rng.randint(1, 40)
-        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        cases.append((n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]))
+    for n, edges in cases:
         g = Graph.from_edges(n, edges)
-        assert len(g.adj) == n
-        assert sum(map(len, g.adj)) == 2 * g.m
-        adj = adjacency_sets(g)
+        assert len(g.closed) == n
+        assert sum(map(len, g.closed)) == g.n + 2 * g.m
         expected = [set() for _ in range(n)]
         for u, v in edges:
             if u != v:
                 expected[u].add(v)
                 expected[v].add(u)
-        assert adj == expected
+        assert [set(neighbors(g, v)) for v in range(n)] == expected
         for v in range(n):
-            nb = g.adj[v]
-            assert type(nb) is tuple
-            assert v not in nb
-            assert all(a < b for a, b in zip(nb, nb[1:]))
-            assert all(v in g.adj[w] for w in nb)
+            near = g.closed[v]
+            assert type(near) is tuple
+            assert near.count(v) == 1
+            assert all(a < b for a, b in zip(near, near[1:]))
+            assert all(v in g.closed[w] for w in near)
 
 
 def test_parse_interns_neighbor_ids():
-    # Both parse paths give the neighbor tuples written out from the edge
-    # lines, as plain ints, and the 2m entries share at most n objects.
+    # Both parse paths give the N[v] tuples written out from the edge
+    # lines, as plain ints, and the n + 2m entries share at most n objects.
     from domset.graph import _parse_ds_bulk
 
     text = to_ds(gnp(2000, 10 / 1999, seed=7))
     n = 2000
-    adj = [set() for _ in range(n)]
+    closed = [{v} for v in range(n)]
     for line in text.splitlines()[1:]:
         u, v = (int(t) - 1 for t in line.split())
-        adj[u].add(v)
-        adj[v].add(u)
-    expected = [tuple(sorted(adj[v])) for v in range(n)]
+        closed[u].add(v)
+        closed[v].add(u)
+    expected = [tuple(sorted(near)) for near in closed]
     crlf = "c per-line path\r\n" + text.replace("\n", "\r\n")
     assert _parse_ds_bulk(text) is not None and _parse_ds_bulk(crlf) is None
     graphs = (parse_ds(text), parse_ds(crlf))
-    assert graphs[0].adj == graphs[1].adj
+    assert graphs[0].closed == graphs[1].closed
     for g in graphs:
-        assert g.adj == expected
-        assert all(type(nb) is tuple for nb in g.adj)
-        entries = [x for nb in g.adj for x in nb]
+        assert g.closed == expected
+        assert all(type(near) is tuple for near in g.closed)
+        entries = [x for near in g.closed for x in near]
         assert all(type(x) is int for x in entries)
-        assert len({id(x) for x in entries}) <= g.n < len(entries) == 2 * g.m
+        assert len({id(x) for x in entries}) <= g.n < len(entries) == g.n + 2 * g.m
 
 
 def test_from_edges_rejects_bad_endpoints():
@@ -162,18 +165,18 @@ def test_self_loops_only_give_an_edgeless_graph():
     assert _parse_ds_bulk(text) is not None
     for g in (Graph.from_edges(3, [(0, 0), (1, 1)]), parse_ds(text)):
         assert (g.n, g.m) == (3, 0)
-        assert g.adj == [(), (), ()]
+        assert g.closed == [(0,), (1,), (2,)]
 
 
 def test_closed_neighborhood():
     star = star_graph(3)
-    assert set(closed_neighborhood(star, 0)) == {0, 1, 2, 3}
-    assert len(closed_neighborhood(star, 0)) == len(star.adj[0]) + 1
+    assert set(star.closed[0]) == {0, 1, 2, 3}
+    assert len(star.closed[0]) == len(neighbors(star, 0)) + 1
     isolates = Graph.from_edges(2, [])
-    assert closed_neighborhood(isolates, 1) == [1]
+    assert isolates.closed[1] == (1,)
     p3 = path_graph(3)
-    assert set(closed_neighborhood(p3, 1)) == {0, 1, 2}
-    assert closed_neighborhood(p3, 1)[0] == 1
+    assert set(p3.closed[1]) == {0, 1, 2}
+    assert p3.closed[1] == (0, 1, 2)
 
 
 def test_write_solution_format():
@@ -361,7 +364,7 @@ def test_solution_integers_other_than_ascii_digits_are_rejected_at_their_line(to
 def test_plus_sign_and_leading_zeros_are_accepted():
     g = parse_ds("p ds +05 002\n+1 0002\n005 +4\n")
     assert (g.n, g.m) == (5, 2)
-    assert g.adj == [(1,), (0,), (), (4,), (3,)]
+    assert g.closed == [(0, 1), (0, 1), (2,), (3, 4), (3, 4)]
     assert parse_ds(b"p ds 3 1\n01 +3\n") == parse_ds("p ds 3 1\n1 3\n")
     assert parse_solution("+02\n003\n+1\n", 3).members == [2, 0]
 

@@ -118,7 +118,7 @@ def test_greedy_respects_ln_bound():
     for _ in range(30):
         g = gnp(rng.randint(1, 14), rng.uniform(0, 0.5), rng.randrange(10**6))
         gamma, _ = brute_force_optimum(g)
-        bound = (math.log(max(map(len, g.adj)) + 1) + 1) * gamma
+        bound = (math.log(max(map(len, g.closed))) + 1) * gamma
         assert len(greedy_ln(g)) <= bound
 
 

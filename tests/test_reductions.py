@@ -5,14 +5,14 @@ import pytest
 
 from domset import Cover, Graph, add_to_d, apply_isolate_rule, apply_leaf_rule, compute_cover_counts, gnp, star_forest
 
-from conftest import closed_neighborhood, cycle_graph, path_graph, random_instance, random_partial_set, star_graph
+from conftest import cycle_graph, neighbors, path_graph, random_instance, random_partial_set, reversed_labels, star_graph
 
 
 def recompute_counts(g: Graph, cover: Cover) -> list[int]:
     counts = [0] * g.n
     for v in range(g.n):
         if cover.in_set[v]:
-            for x in closed_neighborhood(g, v):
+            for x in g.closed[v]:
                 counts[x] += 1
     return counts
 
@@ -26,10 +26,10 @@ def dominated(cover: Cover) -> list[bool]:
 
 
 def assert_member_counts(g: Graph, cover: Cover) -> None:
-    # A member dominates itself, so its count is 1 plus its member
-    # neighbours; annealing reads its non-member neighbours off this.
+    # A member's count is its number of members in N[v], itself included;
+    # annealing reads its non-member neighbours off this.
     for v in cover.members:
-        assert cover.counts[v] - 1 == sum(cover.in_set[x] for x in g.adj[v])
+        assert cover.counts[v] == sum(cover.in_set[x] for x in g.closed[v])
 
 
 def test_add_to_d_star_center():
@@ -63,7 +63,7 @@ def test_add_to_d_bookkeeping_matches_recomputation():
     for _ in range(30):
         g = gnp(rng.randint(1, 15), rng.random(), rng.randrange(10**6))
         state = compute_cover_counts(g)
-        assert state.adj is g.adj
+        assert state.closed is g.closed
         inserted = []  # insertion order, kept by hand
         for _ in range(rng.randint(0, g.n)):
             v = rng.randrange(g.n)
@@ -196,15 +196,19 @@ def test_isolate_rule_mixed():
 
 
 def test_leaf_rule_path_forces_center():
-    g = path_graph(3)
-    state = compute_cover_counts(g)
-    apply_isolate_rule(state)
-    added = apply_leaf_rule(state)
-    # gamma(P3) = 1: vertex 1 alone dominates, confirmed by exhaustive search below
-    assert added == 1
-    assert state.members == [1]
-    assert state.counts.count(0) == 0
-    assert exhaustive_gamma(g) == 1
+    # gamma(P3) = 1: the centre alone dominates, confirmed by exhaustive
+    # search below. The centre is labelled between the leaves, last, and,
+    # reverse-labelled, first, so a leaf's neighbour sits on either side of
+    # the leaf in its N[u].
+    centre_last = Graph.from_edges(3, [(0, 2), (2, 1)])
+    for g, centre in ((path_graph(3), 1), (centre_last, 2), (reversed_labels(centre_last), 0)):
+        state = compute_cover_counts(g)
+        apply_isolate_rule(state)
+        added = apply_leaf_rule(state)
+        assert added == 1
+        assert state.members == [centre]
+        assert state.counts.count(0) == 0
+        assert exhaustive_gamma(g) == 1
 
 
 def test_leaf_rule_star_adds_center_once():
@@ -241,16 +245,16 @@ def test_reductions_postconditions_on_random_graphs():
         apply_leaf_rule(state)
         assert len(state.solution) >= mid
         for v in range(g.n):
-            if len(g.adj[v]) == 0:
+            if len(g.closed[v]) == 1:
                 assert state.in_set[v]
-            if len(g.adj[v]) == 1:
+            if len(g.closed[v]) == 2:
                 assert dominated(state)[v]
         assert dominated(state) == recompute_dominated(g, state)
 
 
 def exhaustive_gamma(g: Graph, forced: tuple[int, ...] = ()) -> int:
     """Smallest dominating set containing all of ``forced``, by direct enumeration."""
-    closed = [set(closed_neighborhood(g, v)) for v in range(g.n)]
+    closed = [set(near) for near in g.closed]
     everything = set(range(g.n))
     rest = [v for v in range(g.n) if v not in forced]
     base = set()
@@ -303,11 +307,11 @@ def test_reductions_on_a_cover_that_already_holds_members():
             for v in new:
                 assert not in_set[v]
                 if rule is apply_isolate_rule:
-                    assert not g.adj[v]
+                    assert g.closed[v] == (v,)
                 else:
-                    assert any(g.adj[u] == (v,) and not counts[u] for u in g.adj[v])
+                    assert any(neighbors(g, u) == (v,) and not counts[u] for u in neighbors(g, v))
             assert Cover(g, cover.members).counts == cover.counts
-        assert all(cover.counts[u] for u in range(g.n) if len(g.adj[u]) <= 1)
+        assert all(cover.counts[u] for u in range(g.n) if len(g.closed[u]) <= 2)
         members = list(cover.members)
         assert apply_isolate_rule(cover) == 0
         assert apply_leaf_rule(cover) == 0

@@ -28,6 +28,7 @@ from conftest import (
     random_instance,
     random_partial_set,
     reference_try_one_swap,
+    reversed_labels,
     star_graph,
     unique_of,
 )
@@ -45,30 +46,35 @@ def _start_sets(rng: random.Random, g: Graph) -> tuple[list[int], list[int]]:
 
 
 def test_try_one_swap_matches_unfiltered_scan():
+    # Each instance also runs reverse-labelled, where a member is often the
+    # largest ID in its N[w], so u must be taken from the front of unique.
     rng = random.Random(4711)
-    kinds = {"covers nothing alone": 0, "only w": 0, "filtered": 0, "no candidate": 0}
+    kinds = {"covers nothing alone": 0, "only w": 0, "filtered": 0, "w last": 0, "no candidate": 0}
     for i in range(120):
-        g = random_instance(rng, i % 4)
-        for members in _start_sets(rng, g):
-            cover = Cover(g, members)
-            ref = Cover(g, members)
-            # Two passes over the members, so later attempts see states the
-            # earlier moves made.
-            for w in cover.members * 2:
-                if not cover.in_set[w]:
-                    continue
-                unique = unique_of(cover, w)
-                move = try_one_swap(cover, w)
-                assert move == reference_try_one_swap(ref, w), (i, w)
-                assert cover.members == ref.members
-                assert cover.counts == ref.counts
-                if not unique:
-                    assert move is None
-                    kinds["covers nothing alone"] += 1
-                elif move is None:
-                    kinds["no candidate"] += 1
-                else:
-                    kinds["only w" if unique == [w] else "filtered"] += 1
+        g0 = random_instance(rng, i % 4)
+        for g in (g0, reversed_labels(g0)):
+            for members in _start_sets(rng, g):
+                cover = Cover(g, members)
+                ref = Cover(g, members)
+                # Two passes over the members, so later attempts see states
+                # the earlier moves made.
+                for w in cover.members * 2:
+                    if not cover.in_set[w]:
+                        continue
+                    unique = unique_of(cover, w)
+                    move = try_one_swap(cover, w)
+                    assert move == reference_try_one_swap(ref, w), (i, w)
+                    assert cover.members == ref.members
+                    assert cover.counts == ref.counts
+                    if not unique:
+                        assert move is None
+                        kinds["covers nothing alone"] += 1
+                    elif move is None:
+                        kinds["no candidate"] += 1
+                    elif unique == [w]:
+                        kinds["only w"] += 1
+                    else:
+                        kinds["w last" if unique[-1] == w else "filtered"] += 1
     # Every branch of the scan was taken, the filtered one most of all.
     assert min(kinds.values()) > 0, kinds
     assert kinds["filtered"] > kinds["only w"], kinds
@@ -198,7 +204,7 @@ def test_swap_phase_polls_within_a_poll_batch_of_attempted_work(monkeypatch):
         backward_prune(cover)
         swap_phase(cover, attempt_cap=3, budget=budget, rng=random.Random(2))
         assert budget.polls[0] == 0 and len(budget.polls) > 3
-        weight = [len(g.adj[w]) + 1 for w in attempts]
+        weight = [len(g.closed[w]) for w in attempts]
         ends = budget.polls[1:] + [len(attempts)]
         for start, end in zip(budget.polls, ends):
             assert sum(weight[start + 1 : end]) < POLL_BATCH, (start, end)
