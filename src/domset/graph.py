@@ -167,8 +167,30 @@ def parse_ds(data: bytes | str) -> Graph:
     bulk with numpy; any other is read line by line, which accepts and
     rejects exactly the same inputs, so every error still names its line.
     """
-    g = _parse_ds_bulk(data)
-    return g if g is not None else _parse_ds_lines(data)
+    text = _decode(data)
+    n, declared_m, lineno, end = _read_header(text)
+    # Bytes are sliced where the decoded header ends. A str is encoded with
+    # each non-ASCII character as one b"?", which keeps the offsets. Either
+    # way a non-ASCII body fails the byte check.
+    body = data[len(text[:end].encode()) :] if isinstance(data, bytes) else text.encode("ascii", "replace")[end:]
+    edges = _bulk_edges(body, n, declared_m)
+    del body
+    if edges is None:
+        edges = []
+        for lineno, parts in _content_lines(text[end:], lineno):
+            if len(edges) >= declared_m:
+                raise ParseError(lineno, f"more edge lines than the declared {declared_m}")
+            if len(parts) != 2:
+                raise ParseError(lineno, f"expected edge line '<u> <v>', got {len(parts)} tokens")
+            u, v = (_read_int(token, lineno) for token in parts)
+            if not 1 <= u <= n or not 1 <= v <= n:
+                raise ParseError(lineno, f"vertex ID out of range 1..{n}")
+            edges.append((u - 1, v - 1))
+        if len(edges) < declared_m:
+            raise ParseError(None, f"declared {declared_m} edges but found only {len(edges)}")
+    # The text goes before from_edges makes its arrays.
+    del text
+    return Graph.from_edges(n, edges)
 
 
 def _decode(data: bytes | str) -> str:
@@ -214,22 +236,13 @@ def _read_header(text: str) -> tuple[int, int, int, int]:
     return n, declared_m, lineno, line.end()
 
 
-def _parse_ds_bulk(data: bytes | str) -> Graph | None:
-    """The graph of an instance with a plainly well-formed edge section, or
-    None for any input the per-line parser must judge."""
-    try:
-        text = _decode(data)
-        n, declared_m, _, end = _read_header(text)
-    except ParseError:
-        return None
-    # Bytes are sliced where the decoded header ends. A str is encoded with
-    # each non-ASCII character as one b"?", which keeps the offsets. Either
-    # way a non-ASCII body fails the byte check.
-    body = data[len(text[:end].encode()) :] if isinstance(data, bytes) else text.encode("ascii", "replace")[end:]
+def _bulk_edges(body: bytes, n: int, declared_m: int) -> np.ndarray | None:
+    """The 0-indexed edge pairs of a plainly well-formed edge section
+    ``body``, or None for any section the per-line reader must judge."""
     if body.translate(None, _EDGE_BYTES):
         return None
     if declared_m == 0:
-        return Graph.from_edges(n, []) if not body.strip() else None
+        return np.empty((0, 2), dtype=np.int64) if not body.strip() else None
     raw = np.frombuffer(body, dtype=np.uint8)
     # Token i spans bounds[2i]:bounds[2i + 1]; only digits lie above b" ".
     bounds = np.flatnonzero(np.diff(raw > 32, prepend=False, append=False))
@@ -244,9 +257,7 @@ def _parse_ds_bulk(data: bytes | str) -> Graph | None:
     if len(ids) != len(starts) or int(ids.min()) < 1 or int(ids.max()) > n:
         return None
     ids -= 1
-    # The text and the checks' arrays go before from_edges makes its own.
-    del text, body, raw, bounds, starts, line_of
-    return Graph.from_edges(n, ids.reshape(-1, 2))
+    return ids.reshape(-1, 2)
 
 
 def _content_lines(text: str, lineno: int = 0) -> Iterator[tuple[int, list[str]]]:
@@ -256,25 +267,6 @@ def _content_lines(text: str, lineno: int = 0) -> Iterator[tuple[int, list[str]]
         parts = line.split()
         if parts and parts[0][0] != "c":
             yield lineno, parts
-
-
-def _parse_ds_lines(data: bytes | str) -> Graph:
-    """The per-line reference parser behind :func:`parse_ds`."""
-    text = _decode(data)
-    n, declared_m, lineno, end = _read_header(text)
-    edges: list[tuple[int, int]] = []
-    for lineno, parts in _content_lines(text[end:], lineno):
-        if len(edges) >= declared_m:
-            raise ParseError(lineno, f"more edge lines than the declared {declared_m}")
-        if len(parts) != 2:
-            raise ParseError(lineno, f"expected edge line '<u> <v>', got {len(parts)} tokens")
-        u, v = (_read_int(token, lineno) for token in parts)
-        if not 1 <= u <= n or not 1 <= v <= n:
-            raise ParseError(lineno, f"vertex ID out of range 1..{n}")
-        edges.append((u - 1, v - 1))
-    if len(edges) < declared_m:
-        raise ParseError(None, f"declared {declared_m} edges but found only {len(edges)}")
-    return Graph.from_edges(n, edges)
 
 
 def to_ds(g: Graph) -> str:

@@ -7,6 +7,7 @@ import math
 import os
 import random
 from pathlib import Path
+from unittest import mock
 
 import domset
 from domset import AnnealConfig, Cover, Graph, Solution, add_to_d, compute_cover_counts, decay, generate_instance, gnp, true_gain
@@ -45,6 +46,32 @@ def reversed_labels(g: Graph) -> Graph:
     order of each N[v]."""
     n = g.n
     return Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u in range(n) for v in g.closed[u] if v > u])
+
+
+def bulk_read(data: bytes | str) -> Graph | None:
+    """``parse_ds(data)`` when the bulk reader took its edge section, else
+    None, also when ``parse_ds`` raises ParseError."""
+    taken = []
+    bulk_edges = domset.graph._bulk_edges
+
+    def spy(*args):
+        edges = bulk_edges(*args)
+        taken.append(edges is not None)
+        return edges
+
+    with mock.patch.object(domset.graph, "_bulk_edges", spy):
+        try:
+            g = domset.parse_ds(data)
+        except domset.ParseError:
+            return None
+    return g if taken == [True] else None
+
+
+def line_read(data: bytes | str) -> Graph:
+    """``parse_ds(data)`` with the bulk reader declining every edge
+    section: the per-line reference parser."""
+    with mock.patch.object(domset.graph, "_bulk_edges", lambda *args: None):
+        return domset.parse_ds(data)
 
 
 def is_redundant(cover, v: int) -> bool:

@@ -4,9 +4,7 @@ from collections import deque
 import pytest
 
 from domset import Graph, ParseError, generate_instance, gnp, grid, parse_ds, random_tree, star_forest, to_ds
-from domset.graph import _parse_ds_bulk
-
-from conftest import neighbors, random_instance
+from conftest import bulk_read, neighbors, random_instance
 
 
 def is_connected(g) -> bool:
@@ -97,7 +95,7 @@ def test_generated_instances_roundtrip_through_parser():
         g = random_instance(rng, case % 4)
         text = to_ds(g)
         assert parse_ds(text) == g, case
-        assert _parse_ds_bulk(text) == g, case
+        assert bulk_read(text) == g, case
 
 
 def test_to_ds_lists_each_edge_once():

@@ -1,12 +1,14 @@
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import domset.graph
 from domset import Cover, Graph, ParseError, Solution, gnp, parse_ds, parse_solution, to_ds, write_solution
 
-from conftest import neighbors, path_graph, star_graph
+from conftest import bulk_read, line_read, neighbors, path_graph, star_graph
 
 
 def test_parse_basic_path():
@@ -120,8 +122,6 @@ def test_csr_invariants_on_random_edge_lists():
 def test_parse_interns_neighbor_ids():
     # Both parse paths give the N[v] tuples written out from the edge
     # lines, as plain ints, and the n + 2m entries share at most n objects.
-    from domset.graph import _parse_ds_bulk
-
     text = to_ds(gnp(2000, 10 / 1999, seed=7))
     n = 2000
     closed = [{v} for v in range(n)]
@@ -131,7 +131,7 @@ def test_parse_interns_neighbor_ids():
         closed[v].add(u)
     expected = [tuple(sorted(near)) for near in closed]
     crlf = "c per-line path\r\n" + text.replace("\n", "\r\n")
-    assert _parse_ds_bulk(text) is not None and _parse_ds_bulk(crlf) is None
+    assert bulk_read(text) is not None and bulk_read(crlf) is None
     graphs = (parse_ds(text), parse_ds(crlf))
     assert graphs[0].closed == graphs[1].closed
     for g in graphs:
@@ -159,10 +159,8 @@ def test_from_edges_rejects_a_negative_count_and_non_pairs():
 def test_self_loops_only_give_an_edgeless_graph():
     # Dropping the loops leaves no edge; from_edges takes its one general
     # path, and the bulk parser hands it the loops as an array.
-    from domset.graph import _parse_ds_bulk
-
     text = "p ds 3 2\n1 1\n2 2\n"
-    assert _parse_ds_bulk(text) is not None
+    assert bulk_read(text) is not None
     for g in (Graph.from_edges(3, [(0, 0), (1, 1)]), parse_ds(text)):
         assert (g.n, g.m) == (3, 0)
         assert g.closed == [(0,), (1,), (2,)]
@@ -327,8 +325,6 @@ def test_parse_ds_matches_line_parser_under_mutation():
     """parse_ds and the per-line reference accept the same inputs, build
     equal graphs and reject with the same line and message; nothing but
     ParseError escapes either."""
-    from domset.graph import _parse_ds_bulk, _parse_ds_lines
-
     rng = random.Random(2024)
     bases = _fuzz_bases()
     outcomes = {"graph": 0, "error": 0, "bulk": 0}
@@ -343,10 +339,10 @@ def test_parse_ds_matches_line_parser_under_mutation():
                 data = data.decode("utf-8")
             except UnicodeDecodeError:
                 pass
-        expected = _outcome(_parse_ds_lines, data)
+        expected = _outcome(line_read, data)
         assert _outcome(parse_ds, data) == expected, data
         outcomes["graph" if isinstance(expected, Graph) else "error"] += 1
-        outcomes["bulk"] += _parse_ds_bulk(data) is not None
+        outcomes["bulk"] += bulk_read(data) is not None
     # Acceptance, rejection and the bulk path must each be well represented
     # for the comparison to mean anything.
     assert min(outcomes.values()) > 500, outcomes
@@ -398,18 +394,53 @@ def test_header_reader_splits_lines_where_splitlines_does(brk):
     with pytest.raises(ParseError) as excinfo:
         parse_ds(brk.join(["p ds 3 1", "c", "1 7"]))
     assert excinfo.value.line == 3
+    # A non-ASCII comment in a header block joined by brk, then a plain LF
+    # edge section: the bulk reader takes it from str and from bytes, whose
+    # section starts at the header's byte offset, not its character offset.
+    mixed = brk.join(["c graphe généré", "", "p ds 4 3", "1 2\n2 3\n3 4\n"])
+    for data in (mixed, mixed.encode()):
+        assert bulk_read(data) == parse_ds("p ds 4 3\n1 2\n2 3\n3 4\n"), data
+
+
+def test_parse_ds_decodes_reads_its_header_and_builds_once(monkeypatch):
+    # Whichever reader takes the edge section, the input is decoded once and
+    # its header read once; the graph is built once, or not at all when an
+    # edge line is bad.
+    plain = b"p ds 4 3\n1 2\n2 3\n3 4\n"
+    crlf = b"c x\r\np ds 4 3\r\n1 2\r\nc between\r\n2 3\r\n3 4\r\n"
+    bad = b"p ds 4 3\n1 2\n2 x\n3 4\n"
+    expected = bulk_read(plain)
+    assert expected is not None and bulk_read(crlf) is None
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(domset.graph, "_decode", counted("decode", domset.graph._decode))
+    monkeypatch.setattr(domset.graph, "_read_header", counted("header", domset.graph._read_header))
+    monkeypatch.setattr(Graph, "from_edges", classmethod(counted("build", Graph.from_edges.__func__)))
+    for data, builds in ((plain, 1), (crlf, 1), (bad, 0)):
+        calls.clear()
+        if builds:
+            assert parse_ds(data) == expected
+        else:
+            with pytest.raises(ParseError, match="line 3"):
+                parse_ds(data)
+        assert (calls["decode"], calls["header"], calls["build"]) == (1, 1, builds), data
 
 
 def test_non_ascii_comment_before_the_header_keeps_the_bulk_path():
-    from domset.graph import _parse_ds_bulk, _parse_ds_lines
-
     text = "c graphe généré — ünïcode c second line\np ds 4 3\n1 2\n2 3\n3 4\n"
     for data in (text, text.encode()):
-        g = _parse_ds_bulk(data)
+        g = bulk_read(data)
         assert g is not None
-        assert g == _parse_ds_lines(data) == parse_ds(data) == parse_ds("p ds 4 3\n1 2\n2 3\n3 4\n")
+        assert g == line_read(data) == parse_ds(data) == parse_ds("p ds 4 3\n1 2\n2 3\n3 4\n")
     # A non-ASCII character in the edge section still takes the per-line
     # path, from str and from bytes.
-    assert _parse_ds_bulk(text + "c é\n") is None
-    assert _parse_ds_bulk((text + "c é\n").encode()) is None
+    assert bulk_read(text + "c é\n") is None
+    assert bulk_read((text + "c é\n").encode()) is None
     assert parse_ds(text + "c é\n") == parse_ds(text)

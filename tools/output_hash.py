@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -81,9 +82,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("src", nargs="?", type=Path, default=ROOT / "src", help="directory holding domset/")
     args = parser.parse_args(argv)
     solves, hexdigest, totals = run(load_domset(args.src.resolve()))
-    print(solves, hexdigest)
-    for (algorithm, kind), size in sorted(totals.items()):
-        print(algorithm, kind, size)
+    try:
+        print(solves, hexdigest)
+        for (algorithm, kind), size in sorted(totals.items()):
+            print(algorithm, kind, size)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has closed the pipe (``| head -n 1``): it has what it
+        # wanted. Point stdout at devnull so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
