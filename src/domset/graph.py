@@ -11,9 +11,10 @@ the I/O boundary.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,14 +63,16 @@ class Graph:
     closed: list[tuple[int, ...]]
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls, n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> "Graph":
         """Build a graph from 0-indexed undirected edge pairs.
 
         Self-loops are ignored and duplicate edges (in either orientation)
         are collapsed; ``m`` reflects the cleaned edge count. ``edges`` is a
-        list of pairs or a ``(k, 2)`` integer array, as the bulk parser
-        passes. ``closed[v]`` is N[v], ascending; the IDs are interned (see
-        :class:`Graph`), converted to Python ints in chunks of 64k entries.
+        sequence of pairs or a ``(k, 2)`` integer array (both readers of
+        :func:`parse_ds` pass one int64 array); numpy does not read pairs
+        from a generator, and raises TypeError. ``closed[v]`` is N[v],
+        ascending; the IDs are interned (see :class:`Graph`), converted to
+        Python ints in chunks of 64k entries.
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
@@ -176,18 +179,20 @@ def parse_ds(data: bytes | str) -> Graph:
     edges = _bulk_edges(body, n, declared_m)
     del body
     if edges is None:
-        edges = []
+        ids = array("q")  # 16 bytes an edge; read as the bulk reader's (m, 2) int64 array
         for lineno, parts in _content_lines(text[end:], lineno):
-            if len(edges) >= declared_m:
+            if len(ids) >= 2 * declared_m:
                 raise ParseError(lineno, f"more edge lines than the declared {declared_m}")
             if len(parts) != 2:
                 raise ParseError(lineno, f"expected edge line '<u> <v>', got {len(parts)} tokens")
             u, v = (_read_int(token, lineno) for token in parts)
             if not 1 <= u <= n or not 1 <= v <= n:
                 raise ParseError(lineno, f"vertex ID out of range 1..{n}")
-            edges.append((u - 1, v - 1))
-        if len(edges) < declared_m:
-            raise ParseError(None, f"declared {declared_m} edges but found only {len(edges)}")
+            ids.append(u - 1)
+            ids.append(v - 1)
+        if len(ids) < 2 * declared_m:
+            raise ParseError(None, f"declared {declared_m} edges but found only {len(ids) // 2}")
+        edges = np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
     # The text goes before from_edges makes its arrays.
     del text
     return Graph.from_edges(n, edges)

@@ -1,4 +1,6 @@
-"""Shared graph builders for the test suite. All vertices are 0-indexed."""
+"""What the test modules share: graph builders, checks and the slow
+reference implementations the library must match, each defined once here.
+All vertices are 0-indexed."""
 
 from __future__ import annotations
 
@@ -6,11 +8,12 @@ import heapq
 import math
 import os
 import random
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
 import domset
-from domset import AnnealConfig, Cover, Graph, Solution, add_to_d, compute_cover_counts, decay, generate_instance, gnp, true_gain
+from domset import AnnealConfig, Cover, Graph, Solution, decay, generate_instance, gnp
 from domset.swaps import SwapMove
 
 # Child processes (``python -m domset``) import the package the tests import,
@@ -83,6 +86,46 @@ def is_redundant(cover, v: int) -> bool:
 def unique_of(cover, v: int) -> list[int]:
     """Vertices in N[v] that member ``v`` is the only dominator of, ascending."""
     return [x for x in cover.closed[v] if cover.counts[x] == 1]
+
+
+def assert_cover_consistent(cover) -> None:
+    """The Cover's flags, pick array and counts describe one vertex set:
+    the flags mark exactly the members, ``pos`` indexes the pick array, and
+    every count equals a recount of the members over ``g.closed``, made
+    without ``Cover.load``. A member's count is its number of members in
+    N[v], itself included; annealing reads its non-member neighbours off
+    this."""
+    g = cover.g
+    members = cover.members
+    assert len(set(members)) == len(members)
+    assert all(members[cover.pos[v]] == v for v in members)
+    assert [v for v in range(g.n) if cover.in_set[v]] == sorted(members)
+    counts = [0] * g.n
+    for v in members:
+        for x in g.closed[v]:
+            counts[x] += 1
+    assert cover.counts == counts
+    for v in members:
+        assert cover.counts[v] == sum(cover.in_set[x] for x in g.closed[v])
+
+
+def exhaustive_gamma(g: Graph, forced: tuple[int, ...] = ()) -> int:
+    """Smallest dominating set containing all of ``forced``, by direct
+    enumeration: the independent oracle for small graphs."""
+    closed = [set(near) for near in g.closed]
+    everything = set(range(g.n))
+    rest = [v for v in range(g.n) if v not in forced]
+    base = set()
+    for v in forced:
+        base |= closed[v]
+    for k in range(len(rest) + 1):
+        for combo in combinations(rest, k):
+            covered = set(base)
+            for c in combo:
+                covered |= closed[c]
+            if covered == everything:
+                return len(forced) + k
+    raise AssertionError("unreachable")
 
 
 def greedy_two_packing(g: Graph) -> list[int]:
@@ -178,18 +221,9 @@ def eager_continuation(g: Graph, sol: Solution) -> list[int]:
 
 
 def eager_greedy(g: Graph) -> Solution:
-    """Full-rescore greedy, the slow reference the lazy variant must match."""
-    cover = compute_cover_counts(g)
-    while 0 in cover.counts:
-        best_v = -1
-        best_gain = 0
-        for v in range(g.n):
-            gain = true_gain(cover, v)
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        add_to_d(cover, best_v)
-    return cover.solution
+    """Full-rescore greedy from the empty set, the slow reference the lazy
+    variant must match."""
+    return Solution(g.n, eager_continuation(g, Solution(g.n)))
 
 
 def reference_heap_greedy(cover) -> None:

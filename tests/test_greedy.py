@@ -20,6 +20,8 @@ from domset import (
     gnp,
     greedy_ln,
     lazy_greedy,
+    safety_patch,
+    star_forest,
     true_gain,
     verify,
 )
@@ -27,14 +29,207 @@ from domset import (
 from domset.state import POLL_BATCH
 
 from conftest import (
+    assert_cover_consistent,
+    cycle_graph,
     eager_continuation,
     eager_greedy,
+    exhaustive_gamma,
+    neighbors,
     path_graph,
     random_instance,
     random_partial_set,
     reference_heap_greedy,
+    reversed_labels,
     star_graph,
 )
+
+
+def test_add_to_d_star_center():
+    g = star_graph(3)
+    state = compute_cover_counts(g)
+    add_to_d(state, 0)
+    assert [c > 0 for c in state.counts] == [True] * 4
+    assert state.counts.count(0) == 0
+    assert state.members == [0]
+
+
+def test_add_to_d_idempotent():
+    g = star_graph(3)
+    state = compute_cover_counts(g)
+    add_to_d(state, 1)
+    add_to_d(state, 1)
+    assert state.members == [1]
+    assert state.counts.count(0) == 2
+
+
+def test_add_to_d_isolated_vertex():
+    g = Graph.from_edges(3, [(1, 2)])
+    state = compute_cover_counts(g)
+    add_to_d(state, 0)
+    assert [c > 0 for c in state.counts] == [True, False, False]
+    assert state.counts.count(0) == 2
+
+
+def test_add_to_d_bookkeeping_matches_recomputation():
+    rng = random.Random(7)
+    for _ in range(30):
+        g = gnp(rng.randint(1, 15), rng.random(), rng.randrange(10**6))
+        state = compute_cover_counts(g)
+        assert state.closed is g.closed
+        inserted = []  # insertion order, kept by hand
+        for _ in range(rng.randint(0, g.n)):
+            v = rng.randrange(g.n)
+            if not state.in_set[v]:
+                inserted.append(v)
+            add_to_d(state, v)
+            assert_cover_consistent(state)
+            # Until the first drop the pick array is insertion order, the
+            # order the backward prune reads.
+            assert state.members == inserted
+        # Random drops and re-adds through Cover.drop / Cover.add must agree
+        # with a from-scratch recount after every step, and keep the member
+        # list and its position index in step: an add appends, and a drop
+        # moves the last member into the freed slot.
+        picks = inserted
+        for _ in range(rng.randint(0, 2 * g.n)):
+            v = rng.randrange(g.n)
+            if state.in_set[v]:
+                state.drop(v)
+                i = picks.index(v)
+                last = picks.pop()
+                if last != v:
+                    picks[i] = last
+            else:
+                add_to_d(state, v)
+                picks.append(v)
+            assert_cover_consistent(state)
+            assert state.counts == Cover(g, state.members).counts
+            assert state.members == picks
+
+
+def test_isolate_rule_all_isolates():
+    g = Graph.from_edges(4, [])
+    state = compute_cover_counts(g)
+    assert apply_isolate_rule(state) == 4
+    assert state.counts.count(0) == 0
+    assert sorted(state.members) == [0, 1, 2, 3]
+
+
+def test_isolate_rule_connected_graph():
+    state = compute_cover_counts(cycle_graph(5))
+    assert apply_isolate_rule(state) == 0
+
+
+def test_isolate_rule_mixed():
+    g = Graph.from_edges(3, [(1, 2)])
+    state = compute_cover_counts(g)
+    assert apply_isolate_rule(state) == 1
+    assert state.members == [0]
+
+
+def test_leaf_rule_path_forces_center():
+    # gamma(P3) = 1: the centre alone dominates, confirmed by exhaustive
+    # search below. The centre is labelled between the leaves, last, and,
+    # reverse-labelled, first, so a leaf's neighbour sits on either side of
+    # the leaf in its N[u].
+    centre_last = Graph.from_edges(3, [(0, 2), (2, 1)])
+    for g, centre in ((path_graph(3), 1), (centre_last, 2), (reversed_labels(centre_last), 0)):
+        state = compute_cover_counts(g)
+        apply_isolate_rule(state)
+        added = apply_leaf_rule(state)
+        assert added == 1
+        assert state.members == [centre]
+        assert state.counts.count(0) == 0
+        assert exhaustive_gamma(g) == 1
+
+
+def test_leaf_rule_star_adds_center_once():
+    g = star_graph(5)
+    state = compute_cover_counts(g)
+    added = apply_leaf_rule(state)
+    assert added == 1
+    assert state.members == [0]
+
+
+def test_leaf_rule_no_leaves():
+    g = cycle_graph(4)
+    state = compute_cover_counts(g)
+    assert apply_leaf_rule(state) == 0
+
+
+def test_leaf_rule_isolated_edge():
+    # First leaf in ID order forces its neighbor; the other leaf is then skipped.
+    g = Graph.from_edges(2, [(0, 1)])
+    state = compute_cover_counts(g)
+    assert apply_leaf_rule(state) == 1
+    assert state.members == [1]
+
+
+def test_reductions_postconditions_on_random_graphs():
+    rng = random.Random(99)
+    for _ in range(25):
+        g = star_forest(rng.randint(1, 30), rng.randint(1, 6), rng.randrange(10**6))
+        state = compute_cover_counts(g)
+        size_before = len(state.solution)
+        apply_isolate_rule(state)
+        assert len(state.solution) >= size_before
+        mid = len(state.solution)
+        apply_leaf_rule(state)
+        assert len(state.solution) >= mid
+        for v in range(g.n):
+            if len(g.closed[v]) == 1:
+                assert state.in_set[v]
+            if len(g.closed[v]) == 2:
+                assert state.counts[v] > 0
+        assert_cover_consistent(state)
+
+
+def test_forced_vertices_never_hurt_the_optimum():
+    rng = random.Random(4242)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        g = gnp(n, rng.uniform(0.05, 0.3), rng.randrange(10**6))
+        state = compute_cover_counts(g)
+        apply_isolate_rule(state)
+        apply_leaf_rule(state)
+        forced = tuple(state.members)
+        if not forced:
+            continue
+        checked += 1
+        assert exhaustive_gamma(g, forced) == exhaustive_gamma(g)
+    assert checked >= 10
+
+
+def test_reductions_on_a_cover_that_already_holds_members():
+    # Each rule adds only non-members: an isolate, or the one neighbour of
+    # a leaf that no member dominated before the call. Afterwards every
+    # isolate and leaf is dominated, and a second run of both rules finds
+    # nothing left to force.
+    rng = random.Random(2121)
+    for i in range(80):
+        g = random_instance(rng, i % 4)
+        cover = Cover(g, random_partial_set(rng, g).members)
+        for rule in (apply_isolate_rule, apply_leaf_rule):
+            members = list(cover.members)
+            in_set = list(cover.in_set)
+            counts = list(cover.counts)
+            added = rule(cover)
+            new = cover.members[len(members):]
+            assert cover.members[: len(members)] == members
+            assert added == len(new)
+            for v in new:
+                assert not in_set[v]
+                if rule is apply_isolate_rule:
+                    assert g.closed[v] == (v,)
+                else:
+                    assert any(neighbors(g, u) == (v,) and not counts[u] for u in neighbors(g, v))
+            assert Cover(g, cover.members).counts == cover.counts
+        assert all(cover.counts[u] for u in range(g.n) if len(g.closed[u]) <= 2)
+        members = list(cover.members)
+        assert apply_isolate_rule(cover) == 0
+        assert apply_leaf_rule(cover) == 0
+        assert cover.members == members
 
 
 def test_true_gain_fresh_star_center():
@@ -331,3 +526,50 @@ def test_lazy_greedy_polls_before_its_first_visit_then_every_poll_batch_visits()
         # missing and none comes in between.
         assert budget.polls == list(range(0, visits, POLL_BATCH))
         assert len(budget.polls) > 2
+
+
+def test_safety_patch_valid_solution_untouched():
+    g = path_graph(5)
+    cover = Cover(g, greedy_ln(g).members)
+    before = list(cover.members)
+    assert safety_patch(cover) == 0
+    assert cover.members == before
+
+
+def test_safety_patch_repairs_empty_solution():
+    g = star_graph(3)
+    cover = Cover(g, Solution(4).members)
+    assert safety_patch(cover) == 1
+    assert cover.members == [0]  # the center covers all four vertices
+
+
+def test_safety_patch_isolates():
+    g = Graph.from_edges(2, [])
+    cover = Cover(g, Solution(2).members)
+    assert safety_patch(cover) == 2
+    assert verify(g, cover.solution).valid
+
+
+def test_safety_patch_always_terminates_valid():
+    rng = random.Random(55)
+    for _ in range(30):
+        g = gnp(rng.randint(1, 40), rng.uniform(0, 0.3), rng.randrange(10**6))
+        # random partial garbage
+        sol = Solution(g.n, [v for v in range(g.n) if rng.random() < 0.2])
+        cover = Cover(g, sol.members)
+        added = safety_patch(cover)
+        assert added <= g.n
+        assert verify(g, cover.solution).valid
+
+
+def test_safety_patch_matches_reference_rule():
+    rng = random.Random(1105)
+    for i in range(120):
+        g = random_instance(rng, i % 4)
+        sol = random_partial_set(rng, g)
+        before = list(sol.members)
+        expected = eager_continuation(g, sol)
+        cover = Cover(g, sol.members)
+        assert safety_patch(cover) == len(expected)
+        assert cover.members == before + expected
+        assert verify(g, cover.solution).valid

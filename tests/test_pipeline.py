@@ -37,7 +37,7 @@ from domset import (
     write_solution,
 )
 
-from conftest import forest_domination_number, greedy_two_packing, path_graph, random_partial_set, star_graph
+from conftest import assert_cover_consistent, forest_domination_number, greedy_two_packing, path_graph, random_partial_set, star_graph
 
 
 def _cfg(**kwargs) -> SolverConfig:
@@ -372,17 +372,6 @@ def test_no_solution_shares_a_list_with_a_live_cover(monkeypatch):
     assert not any(hasattr(s, name) for s in sols for name in ("in_set", "add", "copy"))
 
 
-def _assert_cover_consistent(cover) -> None:
-    """The Cover's flags, pick array and counts describe one vertex set."""
-    g = cover.g
-    members = cover.members
-    assert len(set(members)) == len(members)
-    assert all(members[cover.pos[v]] == v for v in members)
-    assert [v for v in range(g.n) if cover.in_set[v]] == sorted(members)
-    assert cover.counts == Cover(g, members).counts
-    assert not hasattr(cover, "uncovered")  # no derived counter to drift
-
-
 # Every stage solve hands the run's Cover to, with the stages after which
 # the set dominates.
 COVER_STAGES = ("apply_isolate_rule", "apply_leaf_rule", "lazy_greedy", "backward_prune", "swap_phase", "sa_solve")
@@ -424,7 +413,8 @@ def test_the_runs_one_cover_stays_consistent_after_every_stage(monkeypatch, algo
         def checked(cover, *args, _fn=getattr(domset.pipeline, name), _name=name):
             before = len(cover.members)
             result = _fn(cover, *args)
-            _assert_cover_consistent(cover)
+            assert_cover_consistent(cover)
+            assert not hasattr(cover, "uncovered")  # no derived counter to drift
             if _name in DOMINATING_AFTER:
                 assert 0 not in cover.counts, _name
             if _name == "sa_solve":
@@ -576,3 +566,12 @@ def test_only_the_pipeline_puts_the_stage_modules_together():
     for name, used in imports.items():
         if name not in {"pipeline", "__init__"}:
             assert not used & STAGE_MODULES, (name, used & STAGE_MODULES)
+
+
+def test_each_source_module_has_one_test_module():
+    # One test module per module of src/domset, plus the acceptance
+    # criteria and the golden outputs, which test the package as a whole.
+    src = Path(domset.pipeline.__file__).parent
+    expected = {f"test_{p.stem}.py" for p in src.glob("*.py") if p.stem not in {"__init__", "__main__"}}
+    expected |= {"test_acceptance.py", "test_golden.py"}
+    assert {p.name for p in Path(__file__).parent.glob("test_*.py")} == expected

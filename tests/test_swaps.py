@@ -10,7 +10,6 @@ from domset import (
     backward_prune,
     gnp,
     greedy_ln,
-    safety_patch,
     swap_phase,
     try_one_swap,
     generate_instance,
@@ -21,17 +20,79 @@ from domset.state import POLL_BATCH
 from domset.swaps import SwapMove
 
 from conftest import (
+    assert_cover_consistent,
+    complete_graph,
     cycle_graph,
-    eager_continuation,
     is_redundant,
     path_graph,
     random_instance,
-    random_partial_set,
     reference_try_one_swap,
     reversed_labels,
     star_graph,
     unique_of,
 )
+
+
+def test_backward_prune_path_example():
+    # P3, members inserted as [2, 1]: the newest member 1 must stay (vertex 0
+    # is covered once), then 2 goes (its whole closed neighborhood is doubly
+    # covered), leaving {1}.
+    g = path_graph(3)
+    sol = Solution(3, [2, 1])
+    cover = Cover(g, sol.members)
+    backward_prune(cover)
+    assert cover.members == [1]
+    assert verify(g, cover.solution).valid
+
+
+def test_backward_prune_keeps_minimal_solution():
+    g = star_graph(4)
+    sol = Solution(5, [0])
+    cover = Cover(g, sol.members)
+    backward_prune(cover)
+    assert cover.members == [0]
+
+
+def test_backward_prune_triangle_full_set():
+    g = complete_graph(3)
+    sol = Solution(3, [0, 1, 2])
+    cover = Cover(g, sol.members)
+    backward_prune(cover)
+    assert len(cover.members) == 1
+    assert verify(g, cover.solution).valid
+
+
+def test_prune_properties_on_random_solutions():
+    rng = random.Random(2024)
+    for _ in range(40):
+        g = gnp(rng.randint(1, 50), rng.uniform(0.02, 0.4), rng.randrange(10**6))
+        members = greedy_ln(g).members
+        # pad with random extra members so there is something to prune
+        taken = set(members)
+        extras = [v for v in range(g.n) if v not in taken]
+        rng.shuffle(extras)
+        sol = Solution(g.n, members + extras[: g.n // 3])
+        before = len(sol)
+        cover = Cover(g, sol.members)
+        backward_prune(cover)
+        assert len(cover.members) <= before
+        assert verify(g, cover.solution).valid
+        # live counts match a fresh recomputation
+        assert cover.counts == Cover(g, cover.members).counts
+        assert 0 not in cover.counts
+        # a second pass over the pruned set removes nothing
+        again = Cover(g, cover.members)
+        backward_prune(again)
+        assert again.members == cover.members
+
+
+def test_prune_preserves_surviving_order():
+    g = path_graph(6)
+    sol = Solution(6, [4, 1, 3, 0])
+    cover = Cover(g, sol.members)
+    backward_prune(cover)
+    order = [v for v in [4, 1, 3, 0] if cover.in_set[v]]
+    assert cover.members == order
 
 
 def _start_sets(rng: random.Random, g: Graph) -> tuple[list[int], list[int]]:
@@ -84,13 +145,6 @@ def test_swap_budget_validation():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
         swap_phase(Cover(g, [0, 2]), attempt_cap=0, budget=Budget(), rng=random.Random(0))
-    with pytest.raises(ValueError):
-        Budget(-1.0)
-    for ms in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="budget must be finite"):
-            Budget(ms)
-    assert not Budget(None).expired()  # attempt-counted mode
-    assert Budget(0).expired()
 
 
 def test_uniquely_covered_sole_dominator():
@@ -213,19 +267,11 @@ def test_swap_phase_polls_within_a_poll_batch_of_attempted_work(monkeypatch):
     assert heaviest > POLL_BATCH
 
 
-def _assert_consistent(cover) -> None:
-    """What swap_phase keeps from its prune-minimal start on, after every
-    applied move and its prune: the counts and the undominated count equal a
-    fresh recount, and no member is redundant."""
-    fresh = Cover(cover.g, cover.members)
-    assert cover.counts == fresh.counts, "incremental cover counts drifted"
-    assert cover.counts.count(0) == fresh.counts.count(0), "incremental undominated count drifted"
-    assert not any(is_redundant(cover, v) for v in cover.members), "a redundant member survived the prune"
-
-
 def _checked_swap_phase(monkeypatch, cover, **kwargs) -> None:
     """Run swap_phase with the state it is handed and the state after every
-    applied move checked.
+    applied move checked: what swap_phase keeps from its prune-minimal start
+    on, after every applied move and its prune, is a consistent Cover with no
+    redundant member.
 
     The state changes only through applied moves and the prunes that follow
     them, so each such state is the one the next attempt, or the return of
@@ -235,14 +281,16 @@ def _checked_swap_phase(monkeypatch, cover, **kwargs) -> None:
     def checked_try(c, w):
         nonlocal applied
         if applied:
-            _assert_consistent(c)
+            assert_cover_consistent(c)
+            assert not any(is_redundant(c, v) for v in c.members), "a redundant member survived the prune"
         move = try_one_swap(c, w)
         applied = move is not None
         return move
 
     monkeypatch.setattr(domset.swaps, "try_one_swap", checked_try)
     swap_phase(cover, **kwargs)
-    _assert_consistent(cover)
+    assert_cover_consistent(cover)
+    assert not any(is_redundant(cover, v) for v in cover.members), "a redundant member survived the prune"
 
 
 def test_swap_phase_never_grows_and_stays_valid(monkeypatch):
@@ -316,50 +364,3 @@ def test_swap_phase_deterministic():
         swap_phase(cover, attempt_cap=20, budget=Budget(None), rng=random.Random(7))
         runs.append(list(cover.members))
     assert runs[0] == runs[1]
-
-
-def test_safety_patch_valid_solution_untouched():
-    g = path_graph(5)
-    cover = Cover(g, greedy_ln(g).members)
-    before = list(cover.members)
-    assert safety_patch(cover) == 0
-    assert cover.members == before
-
-
-def test_safety_patch_repairs_empty_solution():
-    g = star_graph(3)
-    cover = Cover(g, Solution(4).members)
-    assert safety_patch(cover) == 1
-    assert cover.members == [0]  # the center covers all four vertices
-
-
-def test_safety_patch_isolates():
-    g = Graph.from_edges(2, [])
-    cover = Cover(g, Solution(2).members)
-    assert safety_patch(cover) == 2
-    assert verify(g, cover.solution).valid
-
-
-def test_safety_patch_always_terminates_valid():
-    rng = random.Random(55)
-    for _ in range(30):
-        g = gnp(rng.randint(1, 40), rng.uniform(0, 0.3), rng.randrange(10**6))
-        # random partial garbage
-        sol = Solution(g.n, [v for v in range(g.n) if rng.random() < 0.2])
-        cover = Cover(g, sol.members)
-        added = safety_patch(cover)
-        assert added <= g.n
-        assert verify(g, cover.solution).valid
-
-
-def test_safety_patch_matches_reference_rule():
-    rng = random.Random(1105)
-    for i in range(120):
-        g = random_instance(rng, i % 4)
-        sol = random_partial_set(rng, g)
-        before = list(sol.members)
-        expected = eager_continuation(g, sol)
-        cover = Cover(g, sol.members)
-        assert safety_patch(cover) == len(expected)
-        assert cover.members == before + expected
-        assert verify(g, cover.solution).valid

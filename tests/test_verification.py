@@ -1,25 +1,10 @@
 import random
-from itertools import combinations
 
 import pytest
 
 from domset import Graph, Solution, add_to_d, brute_force_optimum, compute_cover_counts, gnp, greedy_ln, grid, random_tree, star_forest, verify
 
-from conftest import complete_graph, cycle_graph, forest_domination_number, path_graph, star_graph
-
-
-def exhaustive_gamma(g: Graph) -> int:
-    """Independent oracle: minimum dominating set size by plain subset enumeration."""
-    closed = [set(near) for near in g.closed]
-    everything = set(range(g.n))
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            covered = set()
-            for c in combo:
-                covered |= closed[c]
-            if covered == everything:
-                return k
-    raise AssertionError("unreachable")
+from conftest import complete_graph, cycle_graph, exhaustive_gamma, forest_domination_number, path_graph, star_graph
 
 
 def test_verify_star_center():
