@@ -20,7 +20,6 @@ from domset import (
     gnp,
     greedy_ln,
     lazy_greedy,
-    safety_patch,
     star_forest,
     true_gain,
     verify,
@@ -526,50 +525,3 @@ def test_lazy_greedy_polls_before_its_first_visit_then_every_poll_batch_visits()
         # missing and none comes in between.
         assert budget.polls == list(range(0, visits, POLL_BATCH))
         assert len(budget.polls) > 2
-
-
-def test_safety_patch_valid_solution_untouched():
-    g = path_graph(5)
-    cover = Cover(g, greedy_ln(g).members)
-    before = list(cover.members)
-    assert safety_patch(cover) == 0
-    assert cover.members == before
-
-
-def test_safety_patch_repairs_empty_solution():
-    g = star_graph(3)
-    cover = Cover(g, Solution(4).members)
-    assert safety_patch(cover) == 1
-    assert cover.members == [0]  # the center covers all four vertices
-
-
-def test_safety_patch_isolates():
-    g = Graph.from_edges(2, [])
-    cover = Cover(g, Solution(2).members)
-    assert safety_patch(cover) == 2
-    assert verify(g, cover.solution).valid
-
-
-def test_safety_patch_always_terminates_valid():
-    rng = random.Random(55)
-    for _ in range(30):
-        g = gnp(rng.randint(1, 40), rng.uniform(0, 0.3), rng.randrange(10**6))
-        # random partial garbage
-        sol = Solution(g.n, [v for v in range(g.n) if rng.random() < 0.2])
-        cover = Cover(g, sol.members)
-        added = safety_patch(cover)
-        assert added <= g.n
-        assert verify(g, cover.solution).valid
-
-
-def test_safety_patch_matches_reference_rule():
-    rng = random.Random(1105)
-    for i in range(120):
-        g = random_instance(rng, i % 4)
-        sol = random_partial_set(rng, g)
-        before = list(sol.members)
-        expected = eager_continuation(g, sol)
-        cover = Cover(g, sol.members)
-        assert safety_patch(cover) == len(expected)
-        assert cover.members == before + expected
-        assert verify(g, cover.solution).valid

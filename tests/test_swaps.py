@@ -10,6 +10,7 @@ from domset import (
     backward_prune,
     gnp,
     greedy_ln,
+    safety_patch,
     swap_phase,
     try_one_swap,
     generate_instance,
@@ -23,9 +24,11 @@ from conftest import (
     assert_cover_consistent,
     complete_graph,
     cycle_graph,
+    eager_continuation,
     is_redundant,
     path_graph,
     random_instance,
+    random_partial_set,
     reference_try_one_swap,
     reversed_labels,
     star_graph,
@@ -364,3 +367,50 @@ def test_swap_phase_deterministic():
         swap_phase(cover, attempt_cap=20, budget=Budget(None), rng=random.Random(7))
         runs.append(list(cover.members))
     assert runs[0] == runs[1]
+
+
+def test_safety_patch_valid_solution_untouched():
+    g = path_graph(5)
+    cover = Cover(g, greedy_ln(g).members)
+    before = list(cover.members)
+    assert safety_patch(cover) == 0
+    assert cover.members == before
+
+
+def test_safety_patch_repairs_empty_solution():
+    g = star_graph(3)
+    cover = Cover(g, Solution(4).members)
+    assert safety_patch(cover) == 1
+    assert cover.members == [0]  # the center covers all four vertices
+
+
+def test_safety_patch_isolates():
+    g = Graph.from_edges(2, [])
+    cover = Cover(g, Solution(2).members)
+    assert safety_patch(cover) == 2
+    assert verify(g, cover.solution).valid
+
+
+def test_safety_patch_always_terminates_valid():
+    rng = random.Random(55)
+    for _ in range(30):
+        g = gnp(rng.randint(1, 40), rng.uniform(0, 0.3), rng.randrange(10**6))
+        # random partial garbage
+        sol = Solution(g.n, [v for v in range(g.n) if rng.random() < 0.2])
+        cover = Cover(g, sol.members)
+        added = safety_patch(cover)
+        assert added <= g.n
+        assert verify(g, cover.solution).valid
+
+
+def test_safety_patch_matches_reference_rule():
+    rng = random.Random(1105)
+    for i in range(120):
+        g = random_instance(rng, i % 4)
+        sol = random_partial_set(rng, g)
+        before = list(sol.members)
+        expected = eager_continuation(g, sol)
+        cover = Cover(g, sol.members)
+        assert safety_patch(cover) == len(expected)
+        assert cover.members == before + expected
+        assert verify(g, cover.solution).valid
